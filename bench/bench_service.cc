@@ -115,7 +115,7 @@ void EmitJsonReport(bool smoke) {
                  warm.TotalTuples());
     std::fprintf(stderr,
                  "n=%zu: private build %.1f us, shared open %.1f us "
-                 "(%.0fx cheaper)\n",
+                 "(%.1fx cheaper)\n",
                  n, private_ns / 1e3, shared_ns / 1e3,
                  static_cast<double>(private_ns) /
                      static_cast<double>(shared_ns ? shared_ns : 1));

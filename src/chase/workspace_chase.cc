@@ -54,7 +54,11 @@ Status WorkspaceChase::BudgetCheckpoint() {
   if (options_->cancel != nullptr && options_->cancel->exhausted()) {
     return Status::ResourceExhausted("chase cancelled by racing probe");
   }
-  if ((checkpoint_tick_++ & 63) != 0) return Status::OK();
+  if ((checkpoint_tick_ & 63) != 0) {
+    ++checkpoint_tick_;
+    return Status::OK();
+  }
+  // A trip leaves the tick in place: the resumed Run re-checks at once.
   if (options_->deadline.has_value() &&
       std::chrono::steady_clock::now() >= *options_->deadline) {
     return Status::ResourceExhausted("chase deadline exceeded");
@@ -63,6 +67,7 @@ Status WorkspaceChase::BudgetCheckpoint() {
       ws_->MemoryUsage().Total() > options_->max_bytes) {
     return Status::ResourceExhausted("chase byte ceiling exceeded");
   }
+  ++checkpoint_tick_;
   return Status::OK();
 }
 
@@ -118,9 +123,11 @@ void WorkspaceChase::AdmitAppended() {
 
 /// Probes one (canonical, alive) slot against one FD's persistent lhs-key
 /// index, merging right-hand sides on a key hit.
-Status WorkspaceChase::ProbeFd(std::uint32_t fd_id, RelId rel,
-                               std::uint32_t idx) {
+Status WorkspaceChase::ProbeFd(WorkspaceTupleRef ref, std::size_t fd_pos) {
+  const std::uint32_t fd_id = fds_by_rel_[ref.rel][fd_pos];
   const Fd& fd = fds_[fd_id];
+  const RelId rel = ref.rel;
+  const std::uint32_t idx = ref.idx;
   IdTuple key = ws_->CanonicalProjection(rel, idx, fd.lhs);
   FdIndexShard& index =
       fd_index_[fd_id][IdTupleHash{}(key) & (kFdIndexShards - 1)];
@@ -134,31 +141,42 @@ Status WorkspaceChase::ProbeFd(std::uint32_t fd_id, RelId rel,
     it->second = idx;
     return Status::OK();
   }
-  const IdTuple& t = ws_->tuple(rel, idx);
-  const IdTuple& rep_t = ws_->tuple(rel, rep);
+  return MergeFdRhs(FdProbe{ref, fd_pos, rep});
+}
+
+Status WorkspaceChase::MergeFdRhs(const FdProbe& probe) {
+  const Fd& fd = fds_[fds_by_rel_[probe.ref.rel][probe.fd_pos]];
+  const IdTuple& t = ws_->tuple(probe.ref.rel, probe.ref.idx);
+  const IdTuple& rep_t = ws_->tuple(probe.ref.rel, probe.rep);
   for (AttrId y : fd.rhs) {
     ValueId a = ws_->Canon(t[y]);
     ValueId b = ws_->Canon(rep_t[y]);
     if (a == b) continue;
+    if (steps_ >= options_->max_steps) {
+      interrupted_fd_ = probe;
+      return Status::ResourceExhausted("chase step budget exhausted");
+    }
     InternedWorkspace::MergeResult u = ws_->MergeValues(a, b);
     if (u.clash) {
       failed_ = true;
       return Status::OK();
     }
     ++fd_merges_;
+    ++steps_;
     // Dirty every slot that stores the losing id — the delta the merge
     // actually touches — then hand its occurrence list to the winner.
-    // This must happen *before* the budget check: a ResourceExhausted
-    // return with the merge recorded but its slots neither dirtied nor
-    // rerouted would leave the workspace unresumable (stale tuples no
-    // worklist entry will ever revisit).
     for (const WorkspaceTupleRef& ref : ws_->occurrences(u.loser)) {
       EnqueueFdDirty(ref.rel, ref.idx);
     }
     ws_->RerouteOccurrences(u.loser, u.winner);
-    if (++steps_ > options_->max_steps) {
-      return Status::ResourceExhausted("chase step budget exhausted");
-    }
+  }
+  return Status::OK();
+}
+
+Status WorkspaceChase::ProbeFds(WorkspaceTupleRef ref, std::size_t from) {
+  for (std::size_t pos = from; pos < fds_by_rel_[ref.rel].size(); ++pos) {
+    CCFP_RETURN_NOT_OK(ProbeFd(ref, pos));
+    if (failed_ || !ws_->alive(ref.rel, ref.idx)) break;  // merged away
   }
   return Status::OK();
 }
@@ -183,19 +201,7 @@ Status WorkspaceChase::DrainOneFdSlot() {
       ind_states_[ind_id].dirty.push_back(ref.idx);
     }
   }
-  for (std::uint32_t fd_id : fds_by_rel_[ref.rel]) {
-    Status st = ProbeFd(fd_id, ref.rel, ref.idx);
-    if (!st.ok()) {
-      // Budget tripped mid-slot: requeue so a later Run with a larger
-      // budget re-probes this slot from its first FD (probes are
-      // idempotent once their merge is in the union-find).
-      EnqueueFdDirty(ref.rel, ref.idx);
-      return st;
-    }
-    if (failed_) return Status::OK();
-    if (!ws_->alive(ref.rel, ref.idx)) break;  // merged away by its probe
-  }
-  return Status::OK();
+  return ProbeFds(ref, 0);
 }
 
 /// Drains the dirty worklist: re-canonicalize, re-deduplicate, and
@@ -373,10 +379,10 @@ Status WorkspaceChase::ParallelFdRound(TaskPool& pool) {
 /// Sequential replay of a parallel round that found merge work: the same
 /// per-slot processing as DrainOneFdSlot, over the live list in round
 /// order. The tail-restore bookkeeping reproduces the sequential queue
-/// exactly — sequential resume order is [unprocessed round slots,
-/// merge-added slots, interrupted slot], and merge-added slots are already
-/// in the deque, so the tail goes to the *front* and the interrupted slot
-/// (re-enqueued by the normal path) lands at the back.
+/// exactly — sequential resume order is [interrupted probe, unprocessed
+/// round slots, merge-added slots]; the probe is held in interrupted_fd_
+/// and merge-added slots are already in the deque, so the tail goes to
+/// the *front*.
 Status WorkspaceChase::ReplayRoundSequential(
     const std::vector<WorkspaceTupleRef>& live) {
   for (std::size_t i = 0; i < live.size(); ++i) {
@@ -400,20 +406,10 @@ Status WorkspaceChase::ReplayRoundSequential(
         ind_states_[ind_id].dirty.push_back(ref.idx);
       }
     }
-    for (std::uint32_t fd_id : fds_by_rel_[ref.rel]) {
-      Status probe = ProbeFd(fd_id, ref.rel, ref.idx);
-      if (!probe.ok()) {
-        EnqueueFdDirty(ref.rel, ref.idx);
-        fd_dirty_.insert(fd_dirty_.begin(), live.begin() + i + 1,
-                         live.end());
-        return probe;
-      }
-      if (failed_) {
-        fd_dirty_.insert(fd_dirty_.begin(), live.begin() + i + 1,
-                         live.end());
-        return Status::OK();
-      }
-      if (!ws_->alive(ref.rel, ref.idx)) break;  // merged away by its probe
+    Status probe = ProbeFds(ref, 0);
+    if (!probe.ok() || failed_) {
+      fd_dirty_.insert(fd_dirty_.begin(), live.begin() + i + 1, live.end());
+      return probe;
     }
   }
   return Status::OK();
@@ -427,14 +423,19 @@ Status WorkspaceChase::ProbeInd(std::uint32_t ind_id, std::uint32_t idx,
   if (!ws_->alive(ind.lhs_rel, idx)) return Status::OK();
   CCFP_RETURN_NOT_OK(BudgetCheckpoint());
   IdTuple key = ws_->CanonicalProjection(ind.lhs_rel, idx, ind.lhs);
-  auto [it, inserted] = ind_states_[ind_id].rhs_keys.insert(std::move(key));
-  if (!inserted) return Status::OK();
+  std::unordered_set<IdTuple, IdTupleHash>& rhs_keys =
+      ind_states_[ind_id].rhs_keys;
+  if (rhs_keys.count(key) != 0) return Status::OK();
+  // Every refusal below happens before the slot's witness exists, so a
+  // resumed Run re-probes this slot and creates the witness then.
   if (FaultFires(FaultSite::kArenaAppend)) {
-    // The arena refused to grow. Un-register the key so a resumed Run
-    // re-probes this slot and creates the witness then.
-    ind_states_[ind_id].rhs_keys.erase(it);
     return Status::ResourceExhausted("injected arena allocation failure");
   }
+  if (steps_ >= options_->max_steps ||
+      ws_->TotalAliveTuples() >= options_->max_tuples) {
+    return Status::ResourceExhausted("chase budget exhausted");
+  }
+  auto it = rhs_keys.insert(std::move(key)).first;
   std::size_t arity = ws_->scheme().relation(ind.rhs_rel).arity();
   IdTuple fresh(arity, 0);
   // Fresh labels for every position, then overwrite the constrained ones
@@ -452,10 +453,7 @@ Status WorkspaceChase::ProbeInd(std::uint32_t ind_id, std::uint32_t idx,
         static_cast<std::uint32_t>(ws_->size(ind.rhs_rel)) - 1;
     AdmitSlot(ind.rhs_rel, new_idx);
     ++ind_tuples_;
-    if (++steps_ > options_->max_steps ||
-        ws_->TotalAliveTuples() > options_->max_tuples) {
-      return Status::ResourceExhausted("chase budget exhausted");
-    }
+    ++steps_;
   }
   return Status::OK();
 }
@@ -463,11 +461,15 @@ Status WorkspaceChase::ProbeInd(std::uint32_t ind_id, std::uint32_t idx,
 /// One pass over the INDs in declaration order — each IND only looks at
 /// its delta: slots beyond its cursor plus slots whose canonical form
 /// changed since its last pass.
-Status WorkspaceChase::IndPass(bool* any) {
-  for (std::uint32_t ind_id = 0; ind_id < inds_.size(); ++ind_id) {
+Status WorkspaceChase::IndPass() {
+  for (; ind_pass_.ind_id < inds_.size(); ++ind_pass_.ind_id) {
+    const std::uint32_t ind_id = ind_pass_.ind_id;
     const Ind& ind = inds_[ind_id];
     IndState& is = ind_states_[ind_id];
-    std::uint32_t end = static_cast<std::uint32_t>(ws_->size(ind.lhs_rel));
+    if (!ind_pass_.end.has_value()) {
+      ind_pass_.end = static_cast<std::uint32_t>(ws_->size(ind.lhs_rel));
+    }
+    const std::uint32_t end = *ind_pass_.end;
     std::vector<std::uint32_t> touched;
     touched.swap(is.dirty);
     std::sort(touched.begin(), touched.end());
@@ -477,26 +479,40 @@ Status WorkspaceChase::IndPass(bool* any) {
     // order (touched slots all precede the cursor).
     for (std::size_t t = 0; t < touched.size(); ++t) {
       if (touched[t] >= is.cursor) continue;  // the range below covers it
-      Status st = ProbeInd(ind_id, touched[t], any);
+      Status st = ProbeInd(ind_id, touched[t], &ind_pass_.any);
       if (!st.ok()) {
-        // Budget tripped: put the unprocessed tail (and the current slot,
-        // whose probe is idempotent) back on the dirty list so a later
-        // Run with a larger budget resumes where this one stopped. The
-        // cursor was not advanced, so the fresh range re-scans too.
+        // Budget tripped before this slot's witness: put it and the
+        // unprocessed tail back on the dirty list; the resumed pass
+        // continues from it. The cursor was not advanced.
         is.dirty.insert(is.dirty.end(), touched.begin() + t, touched.end());
         return st;
       }
     }
     for (std::uint32_t idx = is.cursor; idx < end; ++idx) {
-      CCFP_RETURN_NOT_OK(ProbeInd(ind_id, idx, any));
+      Status st = ProbeInd(ind_id, idx, &ind_pass_.any);
+      if (!st.ok()) {
+        is.cursor = idx;  // slots below were scanned; resume at this one
+        return st;
+      }
     }
     is.cursor = end;
+    ind_pass_.end.reset();
   }
   return Status::OK();
 }
 
+WorkspaceChaseStats WorkspaceChase::stats() const {
+  WorkspaceChaseStats s = done_;
+  s.outcome = failed_ ? ChaseOutcome::kFailed : ChaseOutcome::kFixpoint;
+  s.fd_merges += fd_merges_;
+  s.ind_tuples += ind_tuples_;
+  s.steps += steps_;
+  return s;
+}
+
 Result<WorkspaceChaseStats> WorkspaceChase::Run(const ChaseOptions& options) {
   options_ = &options;
+  done_ = stats();
   fd_merges_ = ind_tuples_ = steps_ = 0;
   // Executor selection: a caller-owned pool wins; otherwise threads > 1
   // (or 0 = hardware concurrency) spins up a transient pool for this Run.
@@ -511,14 +527,27 @@ Result<WorkspaceChaseStats> WorkspaceChase::Run(const ChaseOptions& options) {
     }
   }
   AdmitAppended();
+  if (interrupted_fd_.has_value() && !failed_) {
+    FdProbe probe = *interrupted_fd_;
+    interrupted_fd_.reset();
+    CCFP_RETURN_NOT_OK(MergeFdRhs(probe));
+    if (!failed_ && ws_->alive(probe.ref.rel, probe.ref.idx)) {
+      CCFP_RETURN_NOT_OK(ProbeFds(probe.ref, probe.fd_pos + 1));
+    }
+  }
   while (!failed_) {
-    Status drained = pool != nullptr && pool->threads() > 1
-                         ? DrainFdDirtyParallel(*pool)
-                         : DrainFdDirty();
-    CCFP_RETURN_NOT_OK(drained);
-    if (failed_) break;
-    bool any = false;
-    CCFP_RETURN_NOT_OK(IndPass(&any));
+    if (!ind_pass_.open) {
+      Status drained = pool != nullptr && pool->threads() > 1
+                           ? DrainFdDirtyParallel(*pool)
+                           : DrainFdDirty();
+      CCFP_RETURN_NOT_OK(drained);
+      if (failed_) break;
+      ind_pass_ = IndPassState{};
+      ind_pass_.open = true;
+    }
+    CCFP_RETURN_NOT_OK(IndPass());
+    bool any = ind_pass_.any;
+    ind_pass_ = IndPassState{};
     if (!any) break;
   }
   // Everything published so far — including this Run's own appends,

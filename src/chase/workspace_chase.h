@@ -4,6 +4,7 @@
 #include <array>
 #include <cstdint>
 #include <deque>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -94,11 +95,20 @@ class WorkspaceChase {
   /// bounds the workspace's total alive tuples. A kFailed outcome (two
   /// constants merged) is sticky: the workspace is left mid-chase and
   /// further Runs return kFailed immediately. A ResourceExhausted return
-  /// leaves the worklists intact (the interrupted slot is requeued), so a
-  /// later Run with a larger budget resumes exactly where this one
-  /// stopped; the workspace must not be model-checked while exhausted
-  /// (tuples may be stale).
+  /// stops *before* the step that would cross a budget and remembers the
+  /// interrupted FD probe or IND pass, so the next Run continues exactly
+  /// there: Run(a) exhausted, then Run(b) with no appends in between,
+  /// takes the same steps in the same order as one Run(a' + b), where a'
+  /// is what the first Run consumed (stats().steps). The deadline and the
+  /// byte ceiling are sampled at periodic checkpoints, so only the step
+  /// and tuple budgets resume step-exactly. The workspace must not be
+  /// model-checked while exhausted (tuples may be stale).
   Result<WorkspaceChaseStats> Run(const ChaseOptions& options);
+
+  /// Work done across every Run so far, exhausted Runs included. The
+  /// outcome is kFailed once the chase failed, kFixpoint otherwise (an
+  /// exhausted chase has not reached one; only an OK Run says it has).
+  WorkspaceChaseStats stats() const;
 
  private:
   struct IndState {
@@ -127,7 +137,23 @@ class WorkspaceChase {
   /// append published since the last call (rewrites/kills are the chase's
   /// own moves and already tracked by its worklists).
   void AdmitAppended();
-  Status ProbeFd(std::uint32_t fd_id, RelId rel, std::uint32_t idx);
+  /// One slot against one FD on its relation: `fd_pos` indexes
+  /// fds_by_rel_[ref.rel]; `rep` is the slot holding the same lhs key.
+  struct FdProbe {
+    WorkspaceTupleRef ref;
+    std::size_t fd_pos = 0;
+    std::uint32_t rep = 0;
+  };
+  /// Looks the slot's lhs key up in the FD's index and merges right-hand
+  /// sides on a hit (MergeFdRhs).
+  Status ProbeFd(WorkspaceTupleRef ref, std::size_t fd_pos);
+  /// Merges the slot's rhs values into the representative's. Stops before
+  /// a merge that would cross the step budget, remembering the probe in
+  /// interrupted_fd_ (merged attributes compare equal on re-entry).
+  Status MergeFdRhs(const FdProbe& probe);
+  /// Probes `ref` against the FDs on its relation from `from` on, until
+  /// the chase fails or the slot merges away.
+  Status ProbeFds(WorkspaceTupleRef ref, std::size_t from);
   /// Pops and fully processes the front dirty slot (canonicalize,
   /// re-register, probe every FD on its relation) — the sequential unit
   /// both drain paths are built from.
@@ -146,7 +172,8 @@ class WorkspaceChase {
   /// budget trip so resume order matches the sequential engine exactly.
   Status ReplayRoundSequential(const std::vector<WorkspaceTupleRef>& live);
   Status ProbeInd(std::uint32_t ind_id, std::uint32_t idx, bool* any);
-  Status IndPass(bool* any);
+  /// Runs (or continues) the IND pass in ind_pass_.
+  Status IndPass();
 
   InternedWorkspace* ws_;
   std::vector<Fd> fds_;
@@ -178,12 +205,25 @@ class WorkspaceChase {
   InternedWorkspace::FeedCursorId feed_cursor_ = 0;  ///< pins compaction
   bool failed_ = false;
 
-  // Per-Run budget counters (reset by Run).
+  /// Where an exhausted Run stopped: an FD probe cut between two rhs
+  /// merges, or an IND pass cut between two probes. The next Run finishes
+  /// it before anything else, so no FD drain slips into an open IND pass.
+  std::optional<FdProbe> interrupted_fd_;
+  struct IndPassState {
+    bool open = false;
+    std::uint32_t ind_id = 0;            ///< the IND being processed
+    std::optional<std::uint32_t> end;    ///< its lhs range end, fixed at start
+    bool any = false;                    ///< a witness was created this pass
+  };
+  IndPassState ind_pass_;
+
+  // Per-Run budget counters (reset by Run; folded into done_ first).
   const ChaseOptions* options_ = nullptr;
   std::uint64_t fd_merges_ = 0;
   std::uint64_t ind_tuples_ = 0;
   std::uint64_t steps_ = 0;
   std::uint64_t checkpoint_tick_ = 0;
+  WorkspaceChaseStats done_;  ///< counters of every earlier Run
 };
 
 }  // namespace ccfp

@@ -165,6 +165,7 @@ Result<PortfolioResult> RefutationPortfolio::Run(const Budget& budget) {
     o.cancel = meters[i].get();
     raw[i] = FindCounterexample(scheme_, premises_, conclusion_, o);
     if (raw[i]->ok() && (*raw[i])->counterexample.has_value()) {
+      if (options_.found != nullptr) options_.found->MarkExhausted();
       // A find at rung i supersedes every *higher* rung; lower rungs keep
       // running — a smaller shape may hold the witness that sequentially
       // wins, and determinism demands it gets to finish.

@@ -59,6 +59,10 @@ struct PortfolioOptions {
   /// (e.g. the mixed route's chase turning decisive) drains every rung at
   /// its next candidate boundary. Never charged.
   SharedBudgetMeter* cancel = nullptr;
+  /// Marked (never charged) the moment any rung finds a raw
+  /// counterexample, so a prover racing the portfolio can stop early.
+  /// Not owned; may be null.
+  SharedBudgetMeter* found = nullptr;
 };
 
 enum class RungStatus : std::uint8_t {

@@ -77,7 +77,9 @@ std::string SolverService::ChainPrefix(SessionId id) const {
 
 Result<std::shared_ptr<const SolverCore>> SolverService::AcquireCore(
     SchemePtr scheme, std::vector<Dependency> sigma, const Database* warm) {
-  std::uint64_t identity = SolverCore::Identity(*scheme, sigma, warm);
+  // Validate before rendering: Dependency::ToString trusts its ids.
+  CCFP_RETURN_NOT_OK(SolverCore::ValidateInputs(*scheme, sigma, warm));
+  std::string identity = SolverCore::IdentityString(*scheme, sigma, warm);
   {
     std::lock_guard<std::mutex> lock(cores_mu_);
     auto it = cores_.find(identity);
@@ -94,7 +96,7 @@ Result<std::shared_ptr<const SolverCore>> SolverService::AcquireCore(
                         SolverCore::Build(std::move(scheme), std::move(sigma),
                                           warm));
   std::lock_guard<std::mutex> lock(cores_mu_);
-  auto [it, inserted] = cores_.emplace(identity, core);
+  auto [it, inserted] = cores_.emplace(std::move(identity), core);
   if (!inserted) {
     std::lock_guard<std::mutex> stats_lock(stats_mu_);
     ++stats_.core_reuses;

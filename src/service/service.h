@@ -30,7 +30,7 @@ namespace ccfp {
 ///
 /// ## Architecture
 ///
-///   * **Cores** are deduplicated by SolverCore::Identity — the Nth
+///   * **Cores** are deduplicated by SolverCore::IdentityString — the Nth
 ///     session over a (scheme, sigma, warm data) triple adopts the
 ///     existing core and pays zero re-interning and zero partition
 ///     compilation (provable from SessionStats deltas).
@@ -91,11 +91,11 @@ class SolverService {
     /// Share one witness cache per core across its solve sessions (see
     /// the determinism note above). Off by default.
     bool share_witness_cache = false;
-    /// Race the mixed route's chase probe against its whole refutation
-    /// portfolio on the pool (one Solve then fans out as chase ∥ rung0 ∥
-    /// rung1 ∥ ... — see search/portfolio.h; the other routes' refutation
-    /// sweeps fan their ladder rungs out too). Verdict- and evidence-
-    /// preserving; off only to pin down timing.
+    /// Run solve sessions on the pool: the mixed route's resumed chase
+    /// races its whole refutation portfolio (one Solve then fans out as
+    /// chase ∥ rung0 ∥ rung1 ∥ ... — see SolveOptions::pool; the other
+    /// routes' refutation sweeps fan their ladder rungs out too).
+    /// Verdict- and evidence-preserving; off only to pin down timing.
     bool race_mixed_route = true;
     /// Base solve options for solve sessions (semantics, evidence,
     /// search shape). The shared-substrate hooks are overwritten per
@@ -259,7 +259,9 @@ class SolverService {
   std::vector<std::unique_ptr<Shard>> shards_;
 
   mutable std::mutex cores_mu_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<const SolverCore>> cores_;
+  /// Keyed on SolverCore::IdentityString itself, so a hash collision
+  /// costs a string compare, never a shared core.
+  std::unordered_map<std::string, std::shared_ptr<const SolverCore>> cores_;
 
   std::atomic<std::size_t> inflight_{0};
   std::atomic<std::size_t> resident_{0};

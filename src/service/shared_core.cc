@@ -8,15 +8,9 @@
 
 namespace ccfp {
 
-namespace {
-
-/// Canonical rendering of a core's inputs — what Identity hashes. Sigma
-/// order matters deliberately: the solver's stage pipeline and the
-/// witness cache verify sigma in order, so differently-ordered sigmas are
-/// different (if logically equal) substrates.
-std::string IdentityString(const DatabaseScheme& scheme,
-                           const std::vector<Dependency>& sigma,
-                           const Database* warm) {
+std::string SolverCore::IdentityString(const DatabaseScheme& scheme,
+                                       const std::vector<Dependency>& sigma,
+                                       const Database* warm) {
   std::string s = scheme.ToString();
   s += '\n';
   for (const Dependency& dep : sigma) {
@@ -29,7 +23,25 @@ std::string IdentityString(const DatabaseScheme& scheme,
   return s;
 }
 
-}  // namespace
+Status SolverCore::ValidateInputs(const DatabaseScheme& scheme,
+                                  const std::vector<Dependency>& sigma,
+                                  const Database* warm) {
+  for (const Dependency& dep : sigma) {
+    CCFP_RETURN_NOT_OK(Validate(scheme, dep));
+  }
+  if (warm == nullptr) return Status::OK();
+  bool same_shape = warm->scheme().size() == scheme.size();
+  for (RelId rel = 0; same_shape && rel < scheme.size(); ++rel) {
+    same_shape = warm->scheme().relation(rel).arity() ==
+                 scheme.relation(rel).arity();
+  }
+  if (!same_shape) {
+    return Status::InvalidArgument(
+        StrCat("warm data is over a different scheme: ",
+               warm->scheme().ToString()));
+  }
+  return Status::OK();
+}
 
 SolverCore::SolverCore(SchemePtr scheme, std::vector<Dependency> sigma)
     : scheme_(scheme),
@@ -52,9 +64,7 @@ Result<std::shared_ptr<const SolverCore>> SolverCore::Build(
 Result<std::shared_ptr<const SolverCore>> SolverCore::Build(
     SchemePtr scheme, std::vector<Dependency> sigma, const Database* warm,
     const WarmupOptions& warmup) {
-  for (const Dependency& dep : sigma) {
-    CCFP_RETURN_NOT_OK(Validate(*scheme, dep));
-  }
+  CCFP_RETURN_NOT_OK(ValidateInputs(*scheme, sigma, warm));
   // make_shared needs a public constructor; the core is handed out const,
   // so a private-ctor new is the simpler seam.
   std::shared_ptr<SolverCore> core(

@@ -66,9 +66,23 @@ class SolverCore {
       SchemePtr scheme, std::vector<Dependency> sigma,
       const Database* warm = nullptr);
 
-  /// Stable identity of the substrate: scheme + sigma + warm data,
-  /// canonically rendered and hashed. Two Build calls with equal inputs
-  /// collide here — the service's dedup key.
+  /// InvalidArgument unless every sigma member fits the scheme and the
+  /// warm data (when given) has the scheme's relation count and arities.
+  /// Build runs it first; callers that render the identity run it before.
+  static Status ValidateInputs(const DatabaseScheme& scheme,
+                               const std::vector<Dependency>& sigma,
+                               const Database* warm = nullptr);
+  /// Canonical rendering of the substrate's inputs: scheme + sigma + warm
+  /// data. Equal strings mean equal substrates — the service's dedup key.
+  /// Sigma order matters deliberately: the solver's stage pipeline and the
+  /// witness cache verify sigma in order, so differently-ordered sigmas
+  /// are different (if logically equal) substrates. Inputs must have
+  /// passed ValidateInputs.
+  static std::string IdentityString(const DatabaseScheme& scheme,
+                                    const std::vector<Dependency>& sigma,
+                                    const Database* warm = nullptr);
+  /// 64-bit FNV-1a fingerprint of IdentityString (a label for logs and
+  /// stats; never a dedup key on its own).
   static std::uint64_t Identity(const DatabaseScheme& scheme,
                                 const std::vector<Dependency>& sigma,
                                 const Database* warm = nullptr);

@@ -125,6 +125,24 @@ void PushStage(Verdict& v, StageReport r) {
   v.stages.push_back(std::move(r));
 }
 
+/// PushStage for a report filed at `pos`, ahead of stages that finished
+/// before it (the mixed route files its chase before the search rungs).
+void InsertStage(Verdict& v, std::size_t pos, StageReport r) {
+  v.used.Add(r.used);
+  v.stages.insert(v.stages.begin() + static_cast<std::ptrdiff_t>(pos),
+                  std::move(r));
+}
+
+/// The mixed route's chase probe runs on 1/kChaseProbeShare of the chase
+/// step share, capped at kChaseProbeMaxSteps. A chase that converges this
+/// fast decides on its own; any other chase waits behind the refutation
+/// ladder (SolveMixedRaced). The cap keeps the probe near the ladder's
+/// own cost under large budgets (~0.7 us a step: ~0.2 ms at most).
+constexpr std::uint64_t kChaseProbeShare = 64;
+constexpr std::uint64_t kChaseProbeMaxSteps = 256;
+
+constexpr const char* kChaseEngine = "workspace-chase (universal model)";
+
 /// Deadline gate between stages: appends a skipped-stage report and
 /// updates the reason when the budget's wall-clock deadline has passed.
 bool DeadlineExpired(const Budget& budget, Verdict& v, const char* stage) {
@@ -532,152 +550,151 @@ void ImplicationSolver::SolveMixed(const Dependency& target,
   }
   if (DeadlineExpired(budget, v, "chase")) return;
 
-  // --- Stages 2+3: chase proof and bounded refutation search ------------
-  // With a pool, the two probes race (first decisive verdict wins, the
-  // loser is cancelled); otherwise they run in pipeline order. Verdicts
-  // and evidence are identical either way — see SolveOptions::pool.
-  bool raced = false;
-  std::string search_summary;
-  if (options_.pool != nullptr && rds_.empty()) {
-    raced = SolveMixedRaced(target, slice, unknown_notes, search_summary, v);
-    if (raced && v.outcome != ImplicationVerdict::kUnknown) return;
-  }
-  if (!raced) {
-    // --- Stage 2: budgeted chase proof (universal model) ----------------
-    if (!rds_.empty()) {
-      StageReport r{"chase", "", ImplicationVerdict::kUnknown,
-                    "skipped: RD hypotheses are outside the chase's rule "
-                    "arsenal",
-                    {}};
-      unknown_notes.push_back("chase: skipped (RD hypotheses)");
-      PushStage(v, std::move(r));
-    } else {
-      Result<Database> seed = MakeCanonicalSeed(scheme_, target);
-      if (!seed.ok()) {
-        StageReport r{"chase", "workspace-chase (universal model)",
-                      ImplicationVerdict::kUnknown,
-                      seed.status().ToString(),
-                      {}};
-        unknown_notes.push_back(StrCat("chase: ", r.note));
-        PushStage(v, std::move(r));
-      } else {
-        // One workspace carries the chase and — on refutation — the
-        // evidence check: the fixpoint is verified in id-space without
-        // re-interning, then materialized once for the caller.
-        InternedWorkspace ws(scheme_);
-        ws.AppendDatabase(*seed);
-        WorkspaceChase chase(&ws, fds_, inds_);
-        Result<WorkspaceChaseStats> run =
-            chase.Run(ChaseOptions::FromBudget(slice));
-        if (FinishChase(target, slice, ws, run, unknown_notes, v)) return;
-      }
-    }
-    if (DeadlineExpired(budget, v, "search")) return;
-
-    // --- Stage 3: bounded refutation portfolio --------------------------
-    search_summary = SearchStage(target, slice, v);
-  }
-  if (v.outcome == ImplicationVerdict::kUnknown) {
-    unknown_notes.push_back(
-        StrCat("search: ", search_summary.empty()
-                               ? "no counterexample within the bound"
-                               : search_summary));
-    v.reason = StrCat("undecidable fragment — ",
-                      JoinStrings(unknown_notes, "; "));
-  }
+  // --- Stages 2+3: chase probe, refutation ladder, resumed chase ---------
+  SolveMixedRaced(target, slice, unknown_notes, v);
 }
 
-bool ImplicationSolver::SolveMixedRaced(const Dependency& target,
-                                        const Budget& slice,
-                                        std::vector<std::string>& unknown_notes,
-                                        std::string& search_summary,
-                                        Verdict& v) {
+void ImplicationSolver::SolveMixedRaced(
+    const Dependency& target, const Budget& slice,
+    std::vector<std::string>& unknown_notes, Verdict& v) {
+  auto note_unknown = [&](const std::string& search_summary) {
+    if (v.outcome != ImplicationVerdict::kUnknown) return;
+    unknown_notes.push_back(StrCat("search: ", search_summary));
+    v.reason = StrCat("undecidable fragment — ",
+                      JoinStrings(unknown_notes, "; "));
+  };
+  auto search_alone = [&] {
+    if (DeadlineExpired(slice, v, "search")) return;
+    note_unknown(SearchStage(target, slice, v));
+  };
+  if (!rds_.empty()) {
+    PushStage(v, StageReport{"chase", "", ImplicationVerdict::kUnknown,
+                             "skipped: RD hypotheses are outside the "
+                             "chase's rule arsenal",
+                             {}});
+    unknown_notes.push_back("chase: skipped (RD hypotheses)");
+    search_alone();
+    return;
+  }
   Result<Database> seed = MakeCanonicalSeed(scheme_, target);
-  if (!seed.ok()) return false;  // the sequential path reports the failure
+  if (!seed.ok()) {
+    PushStage(v, StageReport{"chase", kChaseEngine,
+                             ImplicationVerdict::kUnknown,
+                             seed.status().ToString(), {}});
+    unknown_notes.push_back(StrCat("chase: ", seed.status().ToString()));
+    search_alone();
+    return;
+  }
 
-  // Sticky first-verdict-wins flag (never charged, only marked): the
-  // chase becoming decisive kills the whole refutation portfolio — every
-  // rung's meter chains under this token. The chase itself is never
-  // cancelled — whether it converges within its budget share must not
-  // depend on timing, or verdicts would differ run to run.
-  Budget unmetered;
-  unmetered.deadline.reset();
-  SharedBudgetMeter cancel(unmetered, UINT64_MAX);
-
+  // One workspace carries the chase and — on refutation — the evidence
+  // check: the fixpoint is verified in id-space without re-interning.
+  // The chase report is filed here, ahead of the search rungs, whichever
+  // stage decides.
+  const std::size_t chase_at = v.stages.size();
   InternedWorkspace ws(scheme_);
   ws.AppendDatabase(*seed);
   WorkspaceChase chase(&ws, fds_, inds_);
   ChaseOptions chase_options = ChaseOptions::FromBudget(slice);
 
+  // 1. Probe: a fixpoint here is decisive, exactly as within the share.
+  chase_options.max_steps =
+      std::min(slice.steps / kChaseProbeShare, kChaseProbeMaxSteps);
+  Result<WorkspaceChaseStats> run = chase.Run(chase_options);
+  if (run.ok() || slice.Expired()) {
+    if (FinishChase(target, ws, chase, run, chase_at, unknown_notes, v)) {
+      return;
+    }
+    search_alone();  // chase failure (engine bug) or deadline
+    return;
+  }
+  const WorkspaceChaseStats probe = chase.stats();
+
+  // 2. Ladder, and 3. the resumed chase on the rest of its share. Both
+  // verdicts are sound, so a chase proof and a verified witness never
+  // coexist: a ladder find stops the chase, a chase proof drains the
+  // ladder, and a chase refutation waits for the ladder. On a pool of two
+  // or more executors the resumed chase races the ladder; otherwise it
+  // runs after it, and only when the ladder found nothing.
+  Budget unmetered;
+  unmetered.deadline.reset();
+  SharedBudgetMeter proved(unmetered, UINT64_MAX);  // marked by the chase
+  SharedBudgetMeter found(unmetered, UINT64_MAX);   // marked by the ladder
+  auto resume = [&](SharedBudgetMeter* cancel) {
+    chase_options.max_steps = slice.steps - chase.stats().steps;
+    chase_options.cancel = cancel;
+    run = chase.Run(chase_options);
+    if (run.ok() && run->outcome == ChaseOutcome::kFixpoint &&
+        ws.Satisfies(target)) {
+      proved.MarkExhausted();
+    }
+  };
+  PortfolioOptions portfolio_options = MakePortfolioOptions(&proved);
+  portfolio_options.found = &found;
   RefutationPortfolio portfolio(scheme_, nontrivial_, target,
-                                MakePortfolioOptions(&cancel));
-
-  std::optional<Result<WorkspaceChaseStats>> chase_run;
-  std::optional<Result<PortfolioResult>> portfolio_run;
+                                portfolio_options);
+  const bool raced = options_.pool != nullptr && options_.pool->threads() > 1;
+  std::optional<Result<PortfolioResult>> ladder;
   {
-    // The chase becomes one more stealable task beside the portfolio's
-    // rungs: one Solve occupies the pool with chase ∥ rung0 ∥ rung1 ∥ ...
-    // The portfolio runs on this thread and its Wait helps execute any
-    // queued task (including the chase), so a width-1 pool still makes
-    // progress — it just serializes.
-    TaskGroup group(options_.pool);
-    group.Spawn([&] {
-      chase_run.emplace(chase.Run(chase_options));
-      if (chase_run->ok() &&
-          (*chase_run)->outcome == ChaseOutcome::kFixpoint) {
-        // Decisive either way (the fixpoint proves or refutes): the
-        // portfolio's answer is moot, stop paying for it.
-        cancel.MarkExhausted();
-      }
-    });
-    portfolio_run.emplace(portfolio.Run(slice));
-    group.Wait();
+    TaskGroup group(raced ? options_.pool : nullptr);
+    if (raced) group.Spawn([&] { resume(&found); });
+    ladder.emplace(portfolio.Run(slice));
   }
+  if (!raced && !found.exhausted()) resume(nullptr);
 
-  // Deterministic reduction on the joining thread, chase first — exactly
-  // the sequential stage order, so stage reports, evidence, and witness-
-  // cache traffic match the pipeline bit for bit. All cache interaction
-  // happens below, never inside the tasks. A decisive chase discards the
-  // portfolio result entirely: its (possibly cancellation-truncated,
-  // timing-dependent) rung counters never surface.
-  if (FinishChase(target, slice, ws, *chase_run, unknown_notes, v)) {
-    return true;
+  // Deterministic reduction on the joining thread; all witness-cache
+  // traffic happens here, never inside the tasks. A chase proof discards
+  // the ladder result: its rung counters may be cancellation-truncated.
+  if (proved.exhausted()) {
+    FinishChase(target, ws, chase, run, chase_at, unknown_notes, v);
+    return;
   }
-  search_summary = FinishPortfolio(target, std::move(*portfolio_run), v);
-  return true;
+  std::string summary = FinishPortfolio(target, std::move(*ladder), v);
+  if (v.outcome == ImplicationVerdict::kNotImplied) {
+    InsertStage(v, chase_at,
+                StageReport{"chase", kChaseEngine,
+                            ImplicationVerdict::kUnknown,
+                            StrCat("stopped after the probe (", probe.steps,
+                                   " steps): the search found a "
+                                   "counterexample"),
+                            BudgetUse{probe.steps, probe.ind_tuples, 0}});
+    return;
+  }
+  // The find failed verification (an engine bug): the chase it stopped,
+  // or never let run, resumes now.
+  if (found.exhausted()) resume(nullptr);
+  if (FinishChase(target, ws, chase, run, chase_at, unknown_notes, v)) {
+    return;
+  }
+  note_unknown(summary);
 }
 
 bool ImplicationSolver::FinishChase(const Dependency& target,
-                                    const Budget& slice,
                                     InternedWorkspace& ws,
+                                    const WorkspaceChase& chase,
                                     const Result<WorkspaceChaseStats>& run,
+                                    std::size_t at,
                                     std::vector<std::string>& unknown_notes,
                                     Verdict& v) {
-  StageReport r{"chase", "workspace-chase (universal model)",
-                ImplicationVerdict::kUnknown, "", {}};
-  if (!run.ok()) {
-    r.note = run.status().ToString();
-    r.used.steps = slice.steps;
+  StageReport r{"chase", kChaseEngine, ImplicationVerdict::kUnknown, "", {}};
+  // Probe plus resume, read off the chase's own counters.
+  const WorkspaceChaseStats used = chase.stats();
+  r.used.steps = used.steps;
+  r.used.tuples = used.ind_tuples;
+  if (!run.ok() || run->outcome == ChaseOutcome::kFailed) {
+    r.note = run.ok() ? "chase failed from an all-null seed (engine bug)"
+                      : run.status().ToString();
     unknown_notes.push_back(StrCat("chase: ", r.note));
-    PushStage(v, std::move(r));
+    InsertStage(v, at, std::move(r));
     return false;
   }
-  if (run->outcome == ChaseOutcome::kFailed) {
-    r.note = "chase failed from an all-null seed (engine bug)";
-    unknown_notes.push_back(StrCat("chase: ", r.note));
-    PushStage(v, std::move(r));
-    return false;
-  }
-  r.used.steps = run->steps;
-  r.used.tuples = run->ind_tuples;
-  v.chase_stats = *run;
+  v.chase_stats = used;
   bool holds = ws.Satisfies(target);
   v.engine = r.engine;
   if (holds) {
     v.outcome = ImplicationVerdict::kImplied;
     r.verdict = ImplicationVerdict::kImplied;
     r.note = "target holds in the chased fixpoint";
-    PushStage(v, std::move(r));
+    InsertStage(v, at, std::move(r));
     return true;
   }
   v.outcome = ImplicationVerdict::kNotImplied;
@@ -711,7 +728,7 @@ bool ImplicationSolver::FinishChase(const Dependency& target,
       r.note = "fixpoint failed its sigma re-check (engine bug)";
     }
   }
-  PushStage(v, std::move(r));
+  InsertStage(v, at, std::move(r));
   return true;
 }
 

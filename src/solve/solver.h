@@ -42,8 +42,9 @@ enum class ImplicationFragment : std::uint8_t {
   kUnary = 2,
   /// Mixed FDs + INDs (+ RDs): undecidable in general (Mitchell;
   /// Chandra-Vardi), no complete k-ary rule system (Theorem 7.1). Solved
-  /// by a staged pipeline: sound derivation rules, then a budgeted chase
-  /// proof, then bounded counterexample search — any stage may be
+  /// by sound derivation rules, then two semi-deciders dovetailed: a
+  /// budgeted chase proof (probed briefly, resumed after or beside the
+  /// search) and bounded counterexample search — any stage may be
   /// decisive, or all may exhaust their budget (kUnknown).
   kMixed = 3,
   /// EMVD/MVD sentences anywhere in the query: no exact engine; only
@@ -127,18 +128,18 @@ struct SolveOptions {
   /// bypassed — the Nth session's searches compile nothing.
   BoundedSearchWorkspace* shared_search_tables = nullptr;
   /// When set, every refutation sweep fans its ladder rungs out as
-  /// stealable tasks on this pool, and the mixed route additionally races
-  /// its chase proof probe against the whole portfolio (one Solve then
-  /// occupies the pool with chase ∥ rung0 ∥ rung1 ∥ ... — first decisive
-  /// verdict wins; losers are cancelled through chained sticky meters).
-  /// Verdicts and evidence are identical to the sequential pipeline at
-  /// every pool width: the chase is never cancelled (its convergence
-  /// within its budget share cannot depend on timing), a decisive chase
-  /// cancels the portfolio and discards its result (sequentially the
-  /// search would never have run), a find at one rung only cancels the
-  /// rungs above it, and the surviving results are reduced on the joining
-  /// thread in ladder order (see search/portfolio.h for the full
-  /// determinism argument).
+  /// stealable tasks on this pool. With more than one executor, the mixed
+  /// route also resumes its chase (after a short probe) beside the whole
+  /// portfolio: one Solve then occupies the pool with chase ∥ rung0 ∥
+  /// rung1 ∥ ... Verdicts and evidence are identical at every pool
+  /// width, through one evidence rule: a fixpoint inside the probe wins;
+  /// otherwise the lowest-rung, lowest-index verified witness wins;
+  /// otherwise the resumed chase decides. A find cancels the chase and a
+  /// chase proof cancels the portfolio — both verdicts are sound, so they
+  /// never coexist — while a chase refutation waits for the portfolio. A
+  /// find at one rung only cancels the rungs above it, and the results
+  /// are reduced on the joining thread in ladder order (see
+  /// search/portfolio.h and docs/solver.md).
   TaskPool* pool = nullptr;
 };
 
@@ -174,7 +175,7 @@ struct Verdict {
   /// Mixed route, derivation stage: the interaction-rule applications.
   std::vector<MixedDerivation::Step> derivation_trace;
   /// Mixed route, chase stage: the chase counters of the universal-model
-  /// proof (also populated when the chase refutes).
+  /// proof, probe plus resume (also populated when the chase refutes).
   std::optional<WorkspaceChaseStats> chase_stats;
 
   /// --- kNotImplied evidence -------------------------------------------
@@ -208,13 +209,13 @@ struct Verdict {
 ///
 /// The solver classifies the query fragment and routes it to the exact
 /// engine when one exists (pure FD / pure IND / unary / typed); mixed
-/// queries run the staged pipeline (sound derivation rules ->
-/// workspace-chase proof -> bounded counterexample search), every stage
-/// drawing on one Budget via Split(). One InternedWorkspace carries the
-/// chase stage *and* its evidence check, so a chase-refuting fixpoint is
-/// verified without re-interning a single value; a
-/// BoundedSearchWorkspace persists across Solve calls so repeated
-/// searches over the scheme reuse their compiled key tables.
+/// queries run the staged pipeline (sound derivation rules -> a short
+/// workspace-chase probe -> bounded counterexample search -> the chase
+/// resumed), every stage drawing on one Budget via Split(). One
+/// InternedWorkspace carries the chase stage *and* its evidence check, so
+/// a chase-refuting fixpoint is verified without re-interning a single
+/// value; a BoundedSearchWorkspace persists across Solve calls so
+/// repeated searches over the scheme reuse their compiled key tables.
 ///
 /// Statuses are reserved for invalid inputs; budget exhaustion is the
 /// kUnknown verdict (with per-stage reports), never an error and never an
@@ -259,22 +260,23 @@ class ImplicationSolver {
   /// skipped-rung counts — or "" when decisive.
   std::string SearchStage(const Dependency& target, const Budget& budget,
                           Verdict& v);
-  /// Stages 2+3 of the mixed route raced on options_.pool: the chase
-  /// probe against the whole refutation portfolio (see SolveOptions::pool).
-  /// Returns false when the race could not start (no canonical seed) —
-  /// the sequential path then reports the failure. `search_summary`
-  /// receives the portfolio's not-decisive summary (as SearchStage).
-  bool SolveMixedRaced(const Dependency& target, const Budget& slice,
-                       std::vector<std::string>& unknown_notes,
-                       std::string& search_summary, Verdict& v);
-  /// Folds a finished chase probe into the verdict (the shared tail of
-  /// the sequential and raced stage 2). True iff decisive.
-  bool FinishChase(const Dependency& target, const Budget& slice,
-                   InternedWorkspace& ws,
-                   const Result<WorkspaceChaseStats>& run,
+  /// Stages 2+3 of the mixed route, at every pool width: a chase probe
+  /// on a small slice of the chase share, then the refutation portfolio,
+  /// then the same chase resumed on the rest of its share — beside the
+  /// portfolio when options_.pool has more than one executor, after it
+  /// otherwise (see SolveOptions::pool for the evidence rule). Writes the
+  /// kUnknown reason from `unknown_notes` when nothing decides.
+  void SolveMixedRaced(const Dependency& target, const Budget& slice,
+                       std::vector<std::string>& unknown_notes, Verdict& v);
+  /// Files the chase stage report at `at` in v.stages, with the chase's
+  /// cumulative consumption, and folds a finished `run` into the verdict.
+  /// True iff decisive.
+  bool FinishChase(const Dependency& target, InternedWorkspace& ws,
+                   const WorkspaceChase& chase,
+                   const Result<WorkspaceChaseStats>& run, std::size_t at,
                    std::vector<std::string>& unknown_notes, Verdict& v);
   /// Folds a finished portfolio run into the verdict (the shared tail of
-  /// SearchStage and the raced stage 3): one "search" stage report per
+  /// SearchStage and the mixed route): one "search" stage report per
   /// ladder rung, the winning counterexample verified through watchers.
   /// Returns the not-decisive summary ("" when decisive) like SearchStage.
   std::string FinishPortfolio(const Dependency& target,

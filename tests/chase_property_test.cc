@@ -3,6 +3,7 @@
 // bounded-model searcher and the unary engines.
 #include <algorithm>
 #include <gtest/gtest.h>
+#include <string>
 
 #include "chase/chase.h"
 #include "chase/workspace_chase.h"
@@ -337,6 +338,98 @@ TEST_P(ChasePropertyTest, ResumingAfterBudgetExhaustionReachesAModel) {
   for (RelId rel = 0; rel < instance.scheme->size(); ++rel) {
     EXPECT_EQ(materialized.relation(rel).empty(),
               one_shot->db.relation(rel).empty());
+  }
+}
+
+/// Raw workspace state, slot by slot: equal renderings mean the same
+/// tuples under the same labeled-null ids, alive or dead alike.
+std::string RenderSlots(const InternedWorkspace& ws) {
+  std::string out;
+  for (RelId rel = 0; rel < ws.scheme().size(); ++rel) {
+    out += "rel " + std::to_string(rel) + ":";
+    for (std::uint32_t i = 0; i < ws.size(rel); ++i) {
+      out += ws.alive(rel, i) ? " (" : " dead(";
+      for (ValueId id : ws.tuple(rel, i)) {
+        out += std::to_string(ws.Canon(id)) + ",";
+      }
+      out += ")";
+    }
+    out += "\n";
+  }
+  return out;
+}
+
+TEST_P(ChasePropertyTest, SplitRunsResumeStepExactly) {
+  // The resume contract the mixed solver's probe-then-resume chase relies
+  // on: Run(a) exhausted, then Run(S - consumed), must take the same steps
+  // in the same order as one Run(S) — same status, same counters, same
+  // workspace slot for slot. Instances get a back-edge IND half the time,
+  // so divergent chases (which only ever exhaust) are covered too, and a
+  // tuple cap that trips before the step budget on some of them.
+  AcyclicInstance instance = MakeAcyclic(GetParam() * 7 + 5, 3, 3, false);
+  SplitMix64 rng(GetParam() * 131 + 17);
+  if (rng.Chance(1, 2)) {
+    instance.inds.push_back(Ind{2, {0, 1}, 0, {1, 2}});
+  }
+  Database seed(instance.scheme);
+  std::uint64_t next_null = 1;
+  for (RelId rel = 0; rel < instance.scheme->size(); ++rel) {
+    for (int i = 0; i < 2; ++i) {
+      Tuple t;
+      for (std::size_t a = 0; a < 3; ++a) {
+        if (rng.Chance(1, 3) && next_null > 1) {
+          t.push_back(Value::Null(1 + rng.Below(next_null - 1)));
+        } else {
+          t.push_back(Value::Null(next_null++));
+        }
+      }
+      seed.Insert(rel, std::move(t));
+    }
+  }
+  for (std::uint64_t total : {1u, 7u, 40u, 300u}) {
+    ChaseOptions whole;
+    whole.max_steps = total;
+    whole.max_tuples = rng.Chance(1, 3) ? 12 + rng.Below(12) : 1u << 18;
+    InternedWorkspace one_ws(instance.scheme);
+    one_ws.AppendDatabase(seed);
+    WorkspaceChase one(&one_ws, instance.fds, instance.inds);
+    Result<WorkspaceChaseStats> one_run = one.Run(whole);
+
+    // The same budget dripped over many Runs of random size.
+    InternedWorkspace split_ws(instance.scheme);
+    split_ws.AppendDatabase(seed);
+    WorkspaceChase split(&split_ws, instance.fds, instance.inds);
+    Result<WorkspaceChaseStats> split_run = Status::Internal("never ran");
+    ChaseOptions part = whole;
+    int runs = 0;
+    std::uint64_t before = 0;
+    do {
+      ASSERT_LT(runs++, 100000);
+      before = split.stats().steps;
+      part.max_steps = std::min<std::uint64_t>(total - before,
+                                               1 + rng.Below(5));
+      split_run = split.Run(part);
+      // A Run that trips without a step hit the tuple cap: stuck for good.
+    } while (!split_run.ok() && split.stats().steps < total &&
+             split.stats().steps > before);
+    if (!split_run.ok()) {
+      part.max_steps = 0;  // out of budget: one more Run must trip too
+      split_run = split.Run(part);
+    }
+
+    std::string label = "total=" + std::to_string(total) + " after " +
+                        std::to_string(runs) + " runs";
+    ASSERT_EQ(split_run.ok(), one_run.ok())
+        << label << ": " << one_run.status() << " vs " << split_run.status();
+    if (!one_run.ok()) {
+      EXPECT_EQ(split_run.status().code(), one_run.status().code()) << label;
+    }
+    EXPECT_EQ(split.stats().steps, one.stats().steps) << label;
+    EXPECT_EQ(split.stats().fd_merges, one.stats().fd_merges) << label;
+    EXPECT_EQ(split.stats().ind_tuples, one.stats().ind_tuples) << label;
+    EXPECT_LE(one.stats().steps, total) << label;
+    EXPECT_LE(split_ws.TotalAliveTuples(), whole.max_tuples) << label;
+    EXPECT_EQ(RenderSlots(split_ws), RenderSlots(one_ws)) << label;
   }
 }
 

@@ -77,12 +77,12 @@ std::string Render(const Verdict& v, const DatabaseScheme& scheme) {
 
 /// The sequential ground truth for one session's stream: a fresh
 /// standalone solver (private caches, no pool), queries in order.
-std::vector<std::string> SequentialReference(const SchemePtr& scheme,
-                                             std::size_t session,
-                                             const SolveOptions& base) {
-  ImplicationSolver solver(scheme, MixedSigma(), base);
+std::vector<std::string> SequentialReference(
+    const SchemePtr& scheme, const std::vector<Dependency>& sigma,
+    const std::vector<Query>& stream, const SolveOptions& base) {
+  ImplicationSolver solver(scheme, sigma, base);
   std::vector<std::string> out;
-  for (const Query& q : QueryStream(session)) {
+  for (const Query& q : stream) {
     Result<Verdict> v = solver.Solve(q.target, q.budget);
     out.push_back(v.ok() ? Render(*v, *scheme) : v.status().ToString());
   }
@@ -95,7 +95,8 @@ TEST(ServicePropertyTest, ConcurrentSessionsMatchSequentialAtEveryWidth) {
 
   std::vector<std::vector<std::string>> want;
   for (std::size_t s = 0; s < kSessions; ++s) {
-    want.push_back(SequentialReference(scheme, s, SolveOptions()));
+    want.push_back(SequentialReference(scheme, MixedSigma(), QueryStream(s),
+                                       SolveOptions()));
   }
 
   for (unsigned width : {1u, 2u, 4u, 8u}) {
@@ -152,7 +153,8 @@ TEST(ServicePropertyTest, EvictionMidStreamPreservesDeterminism) {
 
   std::vector<std::vector<std::string>> want;
   for (std::size_t s = 0; s < kSessions; ++s) {
-    want.push_back(SequentialReference(scheme, s, cacheless));
+    want.push_back(
+        SequentialReference(scheme, MixedSigma(), QueryStream(s), cacheless));
   }
 
   for (unsigned width : {2u, 8u}) {
@@ -190,6 +192,67 @@ TEST(ServicePropertyTest, EvictionMidStreamPreservesDeterminism) {
       ASSERT_EQ(got[s].size(), want[s].size());
       for (std::size_t k = 0; k < want[s].size(); ++k) {
         EXPECT_EQ(got[s][k], want[s][k])
+            << "width " << width << " session " << s << " query " << k;
+      }
+    }
+  }
+}
+
+TEST(ServicePropertyTest, DivergentChaseSessionsMatchSequentialAtEveryWidth) {
+  // Sigma = { A -> B, R[B,C] <= R[C,A] } over R(A,B,C): the cyclic IND
+  // diverges every chase, so each mixed query runs the whole route —
+  // probe, ladder (on the service pool), resumed chase — and A -> C is
+  // decided by a 3-tuple search witness with the chase stopped after the
+  // probe. Verdicts and evidence match the sequential solver at every
+  // width, under the default budget, a smaller one, and a starved one.
+  SchemePtr scheme = MakeScheme({{"R", {"A", "B", "C"}}});
+  std::vector<Dependency> sigma = {Dependency(Fd{0, {0}, {1}}),
+                                   Dependency(Ind{0, {1, 2}, 0, {2, 0}})};
+  Budget small;
+  small.steps = 3 * 640;
+  std::vector<Query> stream = {
+      {Dependency(Fd{0, {0}, {2}}), Budget()},        // search witness
+      {Dependency(Fd{0, {2}, {0}}), small},           // search witness
+      {Dependency(Ind{0, {0}, 0, {1}}), small},       // search witness
+      {Dependency(Ind{0, {1}, 0, {0}}), small},       // implied
+      {Dependency(Fd{0, {1}, {2}}), Budget::Tiny()},  // starved: unknown
+      {Dependency(Fd{0, {0}, {2}}), small},
+  };
+  SolveOptions cacheless;
+  cacheless.use_witness_cache = false;
+  std::vector<std::string> want =
+      SequentialReference(scheme, sigma, stream, cacheless);
+  ASSERT_NE(want[0].find("stopped after the probe"), std::string::npos)
+      << want[0];
+
+  for (unsigned width : {1u, 2u, 4u, 8u}) {
+    SolverService::Options options;
+    options.threads = width;
+    options.solve = cacheless;
+    SolverService service(options);
+    constexpr std::size_t kSessions = 3;
+    std::vector<SolverService::SessionId> ids;
+    for (std::size_t s = 0; s < kSessions; ++s) {
+      Result<SolverService::SessionId> id = service.OpenSolve(scheme, sigma);
+      ASSERT_TRUE(id.ok()) << id.status();
+      ids.push_back(*id);
+    }
+    std::vector<std::vector<std::string>> got(kSessions);
+    std::vector<std::thread> callers;
+    for (std::size_t s = 0; s < kSessions; ++s) {
+      callers.emplace_back([&, s] {
+        for (const Query& q : stream) {
+          Result<Verdict> v = service.Solve(ids[s], q.target, q.budget);
+          got[s].push_back(v.ok() ? Render(*v, *scheme)
+                                  : v.status().ToString());
+        }
+      });
+    }
+    for (std::thread& t : callers) t.join();
+    for (std::size_t s = 0; s < kSessions; ++s) {
+      ASSERT_EQ(got[s].size(), want.size());
+      for (std::size_t k = 0; k < want.size(); ++k) {
+        EXPECT_EQ(got[s][k], want[k])
             << "width " << width << " session " << s << " query " << k;
       }
     }

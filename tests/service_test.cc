@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/database.h"
@@ -133,6 +134,52 @@ TEST(ServiceTest, SolveSessionMatchesStandaloneSolver) {
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->ops, targets.size());
   EXPECT_GT(stats->steps_used, 0u);
+}
+
+TEST(ServiceTest, MalformedSigmaIsInvalidArgumentBeforeRendering) {
+  // Regression: the registry used to render the core identity (through
+  // Dependency::ToString) before Build validated sigma, so an FD naming
+  // attribute 7 of a 3-attribute relation aborted with std::bad_alloc.
+  SchemePtr scheme = MakeScheme({{"R", {"A", "B", "C"}}});
+  SolverService service;
+  Result<SolverService::SessionId> id =
+      service.OpenSolve(scheme, {Dependency(Fd{0, {0}, {7}})});
+  ASSERT_FALSE(id.ok());
+  EXPECT_EQ(id.status().code(), StatusCode::kInvalidArgument);
+
+  // Warm data over a differently shaped scheme is refused the same way.
+  Database warm = WarmData(RsScheme());
+  Result<SolverService::SessionId> mine = service.OpenMine(scheme, warm);
+  ASSERT_FALSE(mine.ok());
+  EXPECT_EQ(mine.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(service.stats().cores, 0u);
+}
+
+TEST(ServiceTest, CoreRegistryKeysOnTheIdentityItself) {
+  // Distinct (scheme, sigma, warm) inputs — including a reordered sigma —
+  // get distinct cores; equal inputs share one.
+  SchemePtr scheme = RsScheme();
+  std::vector<Dependency> reordered = MixedSigma();
+  std::swap(reordered[0], reordered[1]);
+  EXPECT_NE(SolverCore::IdentityString(*scheme, MixedSigma()),
+            SolverCore::IdentityString(*scheme, reordered));
+  Database warm = WarmData(scheme);
+  Database other_warm = WarmData(scheme);
+  other_warm.Insert(0, {Value::Int(4), Value::Int(40)});
+
+  SolverService service;
+  ASSERT_TRUE(service.OpenSolve(scheme, MixedSigma()).ok());
+  ASSERT_TRUE(service.OpenSolve(scheme, reordered).ok());
+  ASSERT_TRUE(service.OpenSolve(scheme, {}).ok());
+  ASSERT_TRUE(service.OpenMine(scheme, warm).ok());
+  ASSERT_TRUE(service.OpenMine(scheme, other_warm).ok());
+  EXPECT_EQ(service.stats().cores, 5u);
+  EXPECT_EQ(service.stats().core_reuses, 0u);
+
+  ASSERT_TRUE(service.OpenSolve(scheme, MixedSigma()).ok());
+  ASSERT_TRUE(service.OpenMine(scheme, warm).ok());
+  EXPECT_EQ(service.stats().cores, 5u);
+  EXPECT_EQ(service.stats().core_reuses, 2u);
 }
 
 TEST(ServiceTest, SessionCapacityIsResourceExhausted) {

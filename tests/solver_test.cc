@@ -5,6 +5,8 @@
 // Status / kUnknown, never an abort).
 #include <gtest/gtest.h>
 
+#include "chase/chase.h"
+#include "chase/workspace_chase.h"
 #include "constructions/section7.h"
 #include "constructions/theorem44.h"
 #include "core/parser.h"
@@ -266,8 +268,47 @@ TEST(SolverTest, MixedUndecidableReturnsStructuredUnknown) {
   EXPECT_EQ(v.stages[0].stage, "derivation");
   EXPECT_EQ(v.stages[1].stage, "chase");
   EXPECT_EQ(v.stages[2].stage, "search");
-  // The chase stage must report its (exhausted) step consumption.
-  EXPECT_GT(v.stages[1].used.steps, 0u);
+  // The chase stage must report its real consumption: under a 2-tuple
+  // slice the 2-tuple seed leaves no room for an IND witness, so the
+  // chase stops before its first step.
+  EXPECT_EQ(v.stages[1].verdict, ImplicationVerdict::kUnknown);
+  EXPECT_NE(v.stages[1].note.find("exhausted"), std::string::npos)
+      << v.stages[1].note;
+  EXPECT_EQ(v.stages[1].used.steps, 0u);
+  EXPECT_EQ(v.stages[1].used.tuples, 0u);
+}
+
+TEST(SolverTest, MixedExhaustedChaseReportsRealConsumption) {
+  // A divergent chase that outlives its probe and its resume: the chase
+  // stage reports what the chase actually consumed over both Runs — at
+  // most its share, every IND witness it created — and that is exactly
+  // what one uninterrupted Run on the whole share consumes.
+  SchemePtr scheme = MakeScheme({{"R", {"A", "B", "C"}}});
+  std::vector<Dependency> sigma =
+      ParseDependencies(*scheme,
+                        "R: A -> B\nR[B, C] <= R[A, B]\nR[A] <= R[C]")
+          .value();
+  Dependency target(MakeFd(*scheme, "R", {"C"}, {"B"}));
+  Budget budget;
+  budget.steps = 3 * 640;
+  ImplicationSolver solver(scheme, sigma);
+  Verdict v = MustSolve(solver, target, budget);
+  ASSERT_EQ(v.outcome, ImplicationVerdict::kUnknown) << v.ToString(*scheme);
+  ASSERT_GE(v.stages.size(), 3u);
+  const StageReport& chase = v.stages[1];
+  ASSERT_EQ(chase.stage, "chase");
+  EXPECT_NE(chase.note.find("exhausted"), std::string::npos) << chase.note;
+  EXPECT_LE(chase.used.steps, 640u);
+  EXPECT_GT(chase.used.tuples, 0u);
+
+  Budget slice = budget.Split(3);
+  InternedWorkspace ws(scheme);
+  ws.AppendDatabase(MakeCanonicalSeed(scheme, target).value());
+  WorkspaceChase one_shot(&ws, {sigma[0].fd()},
+                          {sigma[1].ind(), sigma[2].ind()});
+  ASSERT_FALSE(one_shot.Run(ChaseOptions::FromBudget(slice)).ok());
+  EXPECT_EQ(chase.used.steps, one_shot.stats().steps);
+  EXPECT_EQ(chase.used.tuples, one_shot.stats().ind_tuples);
 }
 
 TEST(SolverTest, SearchStageDecidesWithoutEvidenceAttachment) {
