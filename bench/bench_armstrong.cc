@@ -115,11 +115,10 @@ void EmitSessionReport(BenchReporter& reporter, bool smoke) {
         CCFP_CHECK(st.ok());
       }
     });
+    reporter.Add(engine == 1 ? "session_fd_arity10_incremental"
+                             : "session_fd_arity10_fullsweep",
+                 universe.size(), wall[engine], universe.size());
   }
-  reporter.Add("session_fd_arity10_fullsweep", universe.size(), wall[0],
-               universe.size());
-  reporter.Add("session_fd_arity10_incremental", universe.size(), wall[1],
-               universe.size());
   std::fprintf(stderr,
                "session_fd_arity10 (universe %zu, one member per round): "
                "fullsweep %.2f ms, incremental %.2f ms, speedup %.2fx\n",
@@ -202,10 +201,9 @@ void EmitJsonReport(bool smoke) {
             w.scheme, w.fds, w.inds, w.universe, oracle, options);
         CCFP_CHECK(report.ok());
       });
+      reporter.Add(StrCat(w.name, engine == 1 ? "_workspace" : "_legacy"),
+                   w.n, wall[engine], w.universe.size());
     }
-    reporter.Add(StrCat(w.name, "_legacy"), w.n, wall[0], w.universe.size());
-    reporter.Add(StrCat(w.name, "_workspace"), w.n, wall[1],
-                 w.universe.size());
     std::fprintf(stderr,
                  "%s (universe %zu): legacy %.2f ms, workspace %.2f ms, "
                  "speedup %.2fx\n",

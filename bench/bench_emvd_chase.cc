@@ -138,10 +138,10 @@ void EmitJsonReport(bool smoke) {
                    result.status().code() == StatusCode::kResourceExhausted);
         tuples[engine] = db.TotalTuples();
       });
+      reporter.Add(StrCat(w.name, engine == 1 ? "_workspace" : "_legacy"),
+                   w.n, wall[engine], tuples[engine]);
     }
     CCFP_CHECK(tuples[0] == tuples[1]);
-    reporter.Add(StrCat(w.name, "_legacy"), w.n, wall[0], tuples[0]);
-    reporter.Add(StrCat(w.name, "_workspace"), w.n, wall[1], tuples[1]);
     std::fprintf(stderr,
                  "%s (%llu tuples): legacy %.2f ms, workspace %.2f ms, "
                  "speedup %.2fx\n",

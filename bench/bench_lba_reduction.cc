@@ -110,6 +110,7 @@ void EmitJsonReport(bool smoke) {
     CCFP_CHECK(red.ok());
     inds = red->sigma.size();
   });
+  reporter.Add("build_reduction", n, build_wall, inds);
   Result<LbaToIndReduction> red = BuildLbaToIndReduction(machine, input);
   CCFP_CHECK(red.ok());
   IndImplication engine(red->scheme, red->sigma);
@@ -117,12 +118,11 @@ void EmitJsonReport(bool smoke) {
     Result<IndDecision> decision = engine.Decide(red->target);
     CCFP_CHECK(decision.ok() && decision->implied);  // n = 6 is even
   });
+  reporter.Add("decide_reduced", n, decide_wall, inds);
   std::uint64_t direct_wall = MedianWallNs(smoke ? 1 : 5, [&] {
     Result<LbaRunResult> result = LbaAccepts(machine, input);
     CCFP_CHECK(result.ok() && result->accepts);
   });
-  reporter.Add("build_reduction", n, build_wall, inds);
-  reporter.Add("decide_reduced", n, decide_wall, inds);
   reporter.Add("direct_lba_search", n, direct_wall, inds);
   reporter.WriteFile();
   std::fprintf(stderr, "BENCH_lba_reduction.json written\n");

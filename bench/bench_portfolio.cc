@@ -85,13 +85,13 @@ void EmitJsonReport(bool smoke) {
     std::uint64_t fixed_wall =
         TimePortfolio(w, budget, /*max_rungs=*/1, smoke, &tested[0],
                       &found[0]);
+    reporter.Add(StrCat(w.name, "_fixed"), budget.steps, fixed_wall,
+                 tested[0]);
     std::uint64_t ladder_wall =
         TimePortfolio(w, budget, /*max_rungs=*/0, smoke, &tested[1],
                       &found[1]);
     // The ladder never loses a refutation the fixed shape had.
     CCFP_CHECK(!found[0] || found[1]);
-    reporter.Add(StrCat(w.name, "_fixed"), budget.steps, fixed_wall,
-                 tested[0]);
     reporter.Add(StrCat(w.name, "_ladder"), budget.steps, ladder_wall,
                  tested[1]);
     std::fprintf(stderr,
@@ -120,12 +120,12 @@ void EmitJsonReport(bool smoke) {
         CCFP_CHECK(v.ok());
         outcome[ladder] = v->outcome;
       });
+      reporter.Add(ladder == 1 ? "solver_wide_ladder" : "solver_wide_fixed",
+                   1, wall[ladder], ladder);
     }
     // The acceptance pair: same budget, kUnknown -> kNotImplied.
     CCFP_CHECK(outcome[0] == ImplicationVerdict::kUnknown);
     CCFP_CHECK(outcome[1] == ImplicationVerdict::kNotImplied);
-    reporter.Add("solver_wide_fixed", 1, wall[0], 0);
-    reporter.Add("solver_wide_ladder", 1, wall[1], 1);
     std::fprintf(stderr,
                  "solver wide: fixed %.2f ms (kUnknown), ladder %.2f ms "
                  "(kNotImplied)\n",

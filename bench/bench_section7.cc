@@ -98,10 +98,11 @@ void EmitJsonReport(bool smoke) {
         satisfied[engine] =
             SatisfiedSubset(chased->db, universe, options).size();
       });
+      reporter.Add(engine == 1 ? "universe_sweep_interned"
+                               : "universe_sweep_legacy",
+                   n, wall[engine], universe.size());
     }
     CCFP_CHECK(satisfied[0] == satisfied[1]);
-    reporter.Add("universe_sweep_legacy", n, wall[0], universe.size());
-    reporter.Add("universe_sweep_interned", n, wall[1], universe.size());
     std::fprintf(stderr,
                  "universe_sweep n=%zu (%zu sentences over %zu tuples): "
                  "legacy %.2f ms, interned %.2f ms, speedup %.1fx\n",

@@ -100,6 +100,8 @@ void EmitJsonReport(bool smoke) {
       CCFP_CHECK(core.ok());
       benchmark::DoNotOptimize(core);
     });
+    reporter.Add(StrCat("startup_private/", n), n, private_ns,
+                 warm.TotalTuples());
 
     SolverService service;
     Result<SolverService::SessionId> first = service.OpenMine(scheme, warm);
@@ -109,8 +111,6 @@ void EmitJsonReport(bool smoke) {
       CCFP_CHECK(id.ok());
       CCFP_CHECK(service.Close(*id).ok());
     });
-    reporter.Add(StrCat("startup_private/", n), n, private_ns,
-                 warm.TotalTuples());
     reporter.Add(StrCat("startup_shared/", n), n, shared_ns,
                  warm.TotalTuples());
     std::fprintf(stderr,

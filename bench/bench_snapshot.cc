@@ -102,11 +102,11 @@ void EmitJsonReport(bool smoke) {
     std::string full = SerializeWorkspace(ws);
     std::uint64_t full_save_ns =
         MedianWallNs(smoke ? 1 : 5, [&] { benchmark::DoNotOptimize(SerializeWorkspace(ws)); });
+    reporter.Add(StrCat("full_save/", n), n, full_save_ns, full.size());
     std::uint64_t full_load_ns = MedianWallNs(smoke ? 1 : 5, [&] {
       Result<RestoredWorkspace> r = DeserializeWorkspace(scheme, full);
       CCFP_CHECK(r.ok());
     });
-    reporter.Add(StrCat("full_save/", n), n, full_save_ns, full.size());
     reporter.Add(StrCat("full_load/", n), n, full_load_ns, full.size());
 
     // Delta pair: persist the base, run one in-flight batch, serialize

@@ -1,6 +1,7 @@
 #include "bench/reporter.h"
 
 #include <cstdio>
+#include <cstring>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
@@ -32,9 +33,40 @@ std::string JsonEscape(const std::string& s) {
   return out;
 }
 
+/// VmHWM from /proc/self/status in bytes, or 0 when the file or the
+/// field is unavailable.
+std::uint64_t ProcPeakRssBytes() {
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) return 0;
+  char line[256];
+  unsigned long long kb = 0;
+  while (std::fgets(line, sizeof(line), f) != nullptr) {
+    if (std::strncmp(line, "VmHWM:", 6) == 0) {
+      std::sscanf(line + 6, "%llu", &kb);
+      break;
+    }
+  }
+  std::fclose(f);
+  return static_cast<std::uint64_t>(kb) * 1024;
+}
+
+/// Resets the process's RSS high-water mark (VmHWM) to its current RSS.
+/// Returns false where /proc/self/clear_refs is unavailable.
+bool ResetPeakRss() {
+  std::FILE* f = std::fopen("/proc/self/clear_refs", "w");
+  if (f == nullptr) return false;
+  bool ok = std::fputs("5", f) >= 0;
+  ok = std::fclose(f) == 0 && ok;
+  return ok;
+}
+
 }  // namespace
 
-std::uint64_t BenchReporter::PeakRssBytes() {
+std::uint64_t BenchReporter::PeakRssBytes() const {
+  if (peak_resettable_) {
+    std::uint64_t hwm = ProcPeakRssBytes();
+    if (hwm != 0) return hwm;
+  }
 #if defined(__unix__) || defined(__APPLE__)
   struct rusage ru;
   if (getrusage(RUSAGE_SELF, &ru) != 0) return 0;
@@ -48,9 +80,12 @@ std::uint64_t BenchReporter::PeakRssBytes() {
 #endif
 }
 
+BenchReporter::BenchReporter(std::string bench)
+    : bench_(std::move(bench)), peak_resettable_(ResetPeakRss()) {}
+
 void BenchReporter::Add(const std::string& name, std::uint64_t n,
                         std::uint64_t wall_ns, std::uint64_t steps) {
-  entries_.push_back(Entry{name, n, wall_ns, steps, PeakRssBytes(), 0});
+  AddThreaded(name, n, wall_ns, steps, 0);
 }
 
 void BenchReporter::AddThreaded(const std::string& name, std::uint64_t n,
@@ -58,6 +93,8 @@ void BenchReporter::AddThreaded(const std::string& name, std::uint64_t n,
                                 unsigned threads) {
   entries_.push_back(
       Entry{name, n, wall_ns, steps, PeakRssBytes(), threads});
+  // The next entry's window starts here.
+  if (peak_resettable_) peak_resettable_ = ResetPeakRss();
 }
 
 std::string BenchReporter::ToJson() const {

@@ -22,15 +22,20 @@ namespace ccfp {
 /// `"threads": <count>` (omitted entirely for plain Add entries).
 class BenchReporter {
  public:
-  /// `bench` names the output file: BENCH_<bench>.json.
-  explicit BenchReporter(std::string bench) : bench_(std::move(bench)) {}
+  /// `bench` names the output file: BENCH_<bench>.json. Starts the first
+  /// entry's peak-RSS window (see Add).
+  explicit BenchReporter(std::string bench);
 
   /// Records one measurement. `n` is the workload size parameter and
   /// `steps` a workload-defined work counter (chase steps, tuples, nodes
   /// visited, ...) so throughput can be derived from wall time. The
-  /// process's peak RSS at Add time is stamped onto the entry — the
-  /// physical complement of the logical byte accounting in
-  /// util/memory_budget.h (0 where the platform cannot report it).
+  /// entry's `peak_rss_bytes` is the process's peak RSS since the previous
+  /// entry was added (or since construction), so add each entry right
+  /// after its own measurement — the physical complement of the logical
+  /// byte accounting in util/memory_budget.h. Where the high-water mark
+  /// cannot be reset (no /proc/self/clear_refs or VmHWM), it falls back to
+  /// the process-lifetime peak from getrusage, which only grows (0 where
+  /// the platform cannot report it at all).
   void Add(const std::string& name, std::uint64_t n, std::uint64_t wall_ns,
            std::uint64_t steps);
 
@@ -41,11 +46,6 @@ class BenchReporter {
   void AddThreaded(const std::string& name, std::uint64_t n,
                    std::uint64_t wall_ns, std::uint64_t steps,
                    unsigned threads);
-
-  /// Current process peak resident set size in bytes (getrusage), or 0 if
-  /// unavailable. Monotone over the process lifetime: entries added later
-  /// report at least the peak of everything run before them.
-  static std::uint64_t PeakRssBytes();
 
   /// Serializes all entries; stable field order, no external deps.
   std::string ToJson() const;
@@ -64,7 +64,14 @@ class BenchReporter {
     unsigned threads = 0;  ///< 0 = unset; omitted from the JSON
   };
 
+  /// Peak resident set size in bytes: VmHWM since the last reset when
+  /// resets work, else the getrusage lifetime peak, else 0.
+  std::uint64_t PeakRssBytes() const;
+
   std::string bench_;
+  /// Resetting the high-water mark has worked so far: peaks are per-entry
+  /// VmHWM windows.
+  bool peak_resettable_ = false;
   std::vector<Entry> entries_;
 };
 

@@ -130,7 +130,7 @@ struct PortfolioResult {
 /// through per-rung sticky meters chained under the caller's outer cancel
 /// token.
 ///
-/// ## Determinism (the PR 8 two-tier contract)
+/// ## Determinism
 ///
 /// Verdict, witness, and per-rung reports are bit-identical to a
 /// sequential ladder sweep at every pool width:
@@ -146,8 +146,8 @@ struct PortfolioResult {
 ///     exactly the report a sequential sweep produces by never launching
 ///     them.
 /// The wall-clock deadline stays stage-granular (rungs are not
-/// deadline-gated mid-scan), the same approximation tier as the rest of
-/// the parallel engines (docs/parallelism.md).
+/// deadline-gated mid-scan); deadline trips are the one timing-dependent
+/// outcome (docs/parallelism.md).
 class RefutationPortfolio {
  public:
   RefutationPortfolio(SchemePtr scheme, std::vector<Dependency> premises,

@@ -10,6 +10,7 @@
 #include "core/satisfies.h"
 #include "interact/unary_finite.h"
 #include "search/bounded.h"
+#include "tests/trace_util.h"
 #include "util/rng.h"
 
 namespace ccfp {
@@ -359,22 +360,14 @@ std::string RenderSlots(const InternedWorkspace& ws) {
   return out;
 }
 
-TEST_P(ChasePropertyTest, SplitRunsResumeStepExactly) {
-  // The resume contract the mixed solver's probe-then-resume chase relies
-  // on: Run(a) exhausted, then Run(S - consumed), must take the same steps
-  // in the same order as one Run(S) — same status, same counters, same
-  // workspace slot for slot. Instances get a back-edge IND half the time,
-  // so divergent chases (which only ever exhaust) are covered too, and a
-  // tuple cap that trips before the step budget on some of them.
-  AcyclicInstance instance = MakeAcyclic(GetParam() * 7 + 5, 3, 3, false);
-  SplitMix64 rng(GetParam() * 131 + 17);
-  if (rng.Chance(1, 2)) {
-    instance.inds.push_back(Ind{2, {0, 1}, 0, {1, 2}});
-  }
-  Database seed(instance.scheme);
+/// `per_relation` all-null tuples in every (arity-3) relation; a third of
+/// the positions reuse an earlier null, so FDs find agreeing lhs values.
+Database NullSeed(const SchemePtr& scheme, SplitMix64& rng,
+                  int per_relation) {
+  Database seed(scheme);
   std::uint64_t next_null = 1;
-  for (RelId rel = 0; rel < instance.scheme->size(); ++rel) {
-    for (int i = 0; i < 2; ++i) {
+  for (RelId rel = 0; rel < scheme->size(); ++rel) {
+    for (int i = 0; i < per_relation; ++i) {
       Tuple t;
       for (std::size_t a = 0; a < 3; ++a) {
         if (rng.Chance(1, 3) && next_null > 1) {
@@ -386,50 +379,104 @@ TEST_P(ChasePropertyTest, SplitRunsResumeStepExactly) {
       seed.Insert(rel, std::move(t));
     }
   }
-  for (std::uint64_t total : {1u, 7u, 40u, 300u}) {
-    ChaseOptions whole;
-    whole.max_steps = total;
-    whole.max_tuples = rng.Chance(1, 3) ? 12 + rng.Below(12) : 1u << 18;
-    InternedWorkspace one_ws(instance.scheme);
-    one_ws.AppendDatabase(seed);
-    WorkspaceChase one(&one_ws, instance.fds, instance.inds);
-    Result<WorkspaceChaseStats> one_run = one.Run(whole);
+  return seed;
+}
 
-    // The same budget dripped over many Runs of random size.
-    InternedWorkspace split_ws(instance.scheme);
-    split_ws.AppendDatabase(seed);
-    WorkspaceChase split(&split_ws, instance.fds, instance.inds);
-    Result<WorkspaceChaseStats> split_run = Status::Internal("never ran");
-    ChaseOptions part = whole;
-    int runs = 0;
-    std::uint64_t before = 0;
-    do {
-      ASSERT_LT(runs++, 100000);
-      before = split.stats().steps;
-      part.max_steps = std::min<std::uint64_t>(total - before,
-                                               1 + rng.Below(5));
-      split_run = split.Run(part);
-      // A Run that trips without a step hit the tuple cap: stuck for good.
-    } while (!split_run.ok() && split.stats().steps < total &&
-             split.stats().steps > before);
-    if (!split_run.ok()) {
-      part.max_steps = 0;  // out of budget: one more Run must trip too
-      split_run = split.Run(part);
-    }
+/// Seeds `ws` with `count` random tuples drawn from a small pool of nulls
+/// and constants — enough agreeing lhs values that the first FD round is
+/// large (every seeded slot is dirty at once) and ends in merges or a
+/// constant clash.
+void SeedWorkspace(InternedWorkspace& ws, std::uint64_t seed,
+                   std::size_t count) {
+  SplitMix64 rng(seed);
+  std::vector<ValueId> pool;
+  for (std::size_t i = 0; i < count; ++i) {
+    testutil::AppendRandomTuple(ws, rng, pool);
+  }
+}
 
-    std::string label = "total=" + std::to_string(total) + " after " +
-                        std::to_string(runs) + " runs";
-    ASSERT_EQ(split_run.ok(), one_run.ok())
-        << label << ": " << one_run.status() << " vs " << split_run.status();
-    if (!one_run.ok()) {
-      EXPECT_EQ(split_run.status().code(), one_run.status().code()) << label;
+TEST_P(ChasePropertyTest, SplitRunsResumeStepExactly) {
+  // The resume contract the mixed solver's probe-then-resume chase relies
+  // on: Run(a) exhausted, then Run(S - consumed), must take the same steps
+  // in the same order as one Run(S) — same status, same counters, same
+  // workspace slot for slot. Instances get a back-edge IND half the time,
+  // so divergent chases (which only ever exhaust) are covered too, and a
+  // tuple cap that trips before the step budget on some of them. Three
+  // seed shapes: two null tuples per relation; 32 per relation, whose
+  // first FD round drains ~100 dirty slots and cascades merges; and 96
+  // random tuples over nulls and constants (SeedWorkspace), whose large
+  // first round mostly ends in a constant clash.
+  AcyclicInstance instance = MakeAcyclic(GetParam() * 7 + 5, 3, 3, false);
+  SplitMix64 rng(GetParam() * 131 + 17);
+  if (rng.Chance(1, 2)) {
+    instance.inds.push_back(Ind{2, {0, 1}, 0, {1, 2}});
+  }
+  const Database small_seed = NullSeed(instance.scheme, rng, 2);
+  SplitMix64 large_rng(GetParam() * 53 + 11);
+  const Database large_seed = NullSeed(instance.scheme, large_rng, 32);
+  enum Shape { kSmallNulls, kLargeNulls, kLargeMixed };
+  const char* const kShapeNames[] = {"small null seed", "large null seed",
+                                     "large mixed seed"};
+  auto seed_workspace = [&](InternedWorkspace& ws, Shape shape) {
+    if (shape == kSmallNulls) ws.AppendDatabase(small_seed);
+    if (shape == kLargeNulls) ws.AppendDatabase(large_seed);
+    if (shape == kLargeMixed) SeedWorkspace(ws, GetParam() * 31 + 1, 96);
+  };
+  for (Shape shape : {kSmallNulls, kLargeNulls, kLargeMixed}) {
+    for (std::uint64_t total : {1u, 7u, 40u, 300u}) {
+      InternedWorkspace one_ws(instance.scheme);
+      seed_workspace(one_ws, shape);
+      // A tuple cap, when drawn, leaves 12-23 tuples of headroom over the
+      // large seeds too, so it is the chase's own appends that trip it.
+      std::uint64_t seeded =
+          shape == kSmallNulls ? 0 : one_ws.TotalAliveTuples();
+      ChaseOptions whole;
+      whole.max_steps = total;
+      whole.max_tuples =
+          rng.Chance(1, 3) ? seeded + 12 + rng.Below(12) : 1u << 18;
+      WorkspaceChase one(&one_ws, instance.fds, instance.inds);
+      Result<WorkspaceChaseStats> one_run = one.Run(whole);
+
+      // The same budget dripped over many Runs of random size.
+      InternedWorkspace split_ws(instance.scheme);
+      seed_workspace(split_ws, shape);
+      WorkspaceChase split(&split_ws, instance.fds, instance.inds);
+      Result<WorkspaceChaseStats> split_run = Status::Internal("never ran");
+      ChaseOptions part = whole;
+      int runs = 0;
+      std::uint64_t before = 0;
+      do {
+        ASSERT_LT(runs++, 100000);
+        before = split.stats().steps;
+        part.max_steps = std::min<std::uint64_t>(total - before,
+                                                 1 + rng.Below(5));
+        split_run = split.Run(part);
+        // A Run that trips without a step hit the tuple cap: stuck for
+        // good.
+      } while (!split_run.ok() && split.stats().steps < total &&
+               split.stats().steps > before);
+      if (!split_run.ok()) {
+        part.max_steps = 0;  // out of budget: one more Run must trip too
+        split_run = split.Run(part);
+      }
+
+      std::string label = std::string(kShapeNames[shape]) + " total=" +
+                          std::to_string(total) + " after " +
+                          std::to_string(runs) + " runs";
+      ASSERT_EQ(split_run.ok(), one_run.ok())
+          << label << ": " << one_run.status() << " vs "
+          << split_run.status();
+      if (!one_run.ok()) {
+        EXPECT_EQ(split_run.status().code(), one_run.status().code())
+            << label;
+      }
+      EXPECT_EQ(split.stats().steps, one.stats().steps) << label;
+      EXPECT_EQ(split.stats().fd_merges, one.stats().fd_merges) << label;
+      EXPECT_EQ(split.stats().ind_tuples, one.stats().ind_tuples) << label;
+      EXPECT_LE(one.stats().steps, total) << label;
+      EXPECT_LE(split_ws.TotalAliveTuples(), whole.max_tuples) << label;
+      EXPECT_EQ(RenderSlots(split_ws), RenderSlots(one_ws)) << label;
     }
-    EXPECT_EQ(split.stats().steps, one.stats().steps) << label;
-    EXPECT_EQ(split.stats().fd_merges, one.stats().fd_merges) << label;
-    EXPECT_EQ(split.stats().ind_tuples, one.stats().ind_tuples) << label;
-    EXPECT_LE(one.stats().steps, total) << label;
-    EXPECT_LE(split_ws.TotalAliveTuples(), whole.max_tuples) << label;
-    EXPECT_EQ(RenderSlots(split_ws), RenderSlots(one_ws)) << label;
   }
 }
 

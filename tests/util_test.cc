@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <thread>
+#include <vector>
+
 #include "util/budget.h"
 #include "util/permutation.h"
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/strings.h"
+#include "util/task_pool.h"
 
 namespace ccfp {
 namespace {
@@ -219,6 +225,70 @@ TEST(BudgetTest, SplitOfADrainedCounterStaysDrained) {
   // Splitting the drained share again keeps it drained.
   EXPECT_EQ(share.Split(3).steps, 0u);
   EXPECT_EQ(share.Split(3).expressions, 1u);
+}
+
+// --- Task pool -------------------------------------------------------------
+
+TEST(TaskPoolTest, SingleExecutorRunsSpawnsInlineInSubmissionOrder) {
+  TaskPool pool(1);
+  EXPECT_EQ(pool.threads(), 1u);
+  std::vector<int> order;
+  std::thread::id caller = std::this_thread::get_id();
+  TaskGroup group(&pool);
+  for (int i = 0; i < 5; ++i) {
+    group.Spawn([&order, caller, i] {
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      order.push_back(i);
+    });
+    // Inline: the closure has already run when Spawn returns.
+    ASSERT_EQ(order.size(), static_cast<std::size_t>(i + 1));
+  }
+  group.Wait();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(TaskPoolTest, NestedSpawnFinishesBeforeWaitReturns) {
+  TaskPool pool(4);
+  std::atomic<int> outer{0};
+  std::atomic<int> inner{0};
+  TaskGroup group(&pool);
+  for (int i = 0; i < 8; ++i) {
+    group.Spawn([&] {
+      // Spawned from inside a task onto the same group: Wait must cover
+      // it even though it did not exist when Wait was entered.
+      group.Spawn([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        inner.fetch_add(1);
+      });
+      outer.fetch_add(1);
+    });
+  }
+  group.Wait();
+  EXPECT_EQ(outer.load(), 8);
+  EXPECT_EQ(inner.load(), 8);
+}
+
+TEST(SharedBudgetMeterTest, ChainedMeterSeesParentExhaustionNotItsCharges) {
+  SharedBudgetMeter parent(Budget::Unlimited(), 10);
+  SharedBudgetMeter child(Budget::Unlimited(), 5, &parent);
+  EXPECT_TRUE(child.Charge(3));
+  EXPECT_EQ(child.used(), 3u);
+  // Charges stay on the child.
+  EXPECT_EQ(parent.used(), 0u);
+  // Crossing the child's own ceiling exhausts the child only.
+  EXPECT_FALSE(child.Charge(3));
+  EXPECT_TRUE(child.exhausted());
+  EXPECT_FALSE(parent.exhausted());
+  EXPECT_EQ(parent.used(), 0u);
+
+  // The sticky flag travels down the chain: a fresh child with plenty of
+  // room reports exhausted once its parent is.
+  SharedBudgetMeter sibling(Budget::Unlimited(), 100, &parent);
+  EXPECT_TRUE(sibling.Charge());
+  parent.MarkExhausted();
+  EXPECT_TRUE(sibling.exhausted());
+  EXPECT_FALSE(sibling.Charge());
+  EXPECT_EQ(parent.used(), 0u);
 }
 
 // --- RNG -------------------------------------------------------------------
