@@ -1,8 +1,8 @@
 // E13: the Armstrong-database builder (Fagin-Vardi substrate): build +
-// verify exactness over growing universes. BENCH_armstrong.json records a
-// legacy-vs-workspace entry pair per workload: the legacy engine re-interns
-// the seed database every repair round, the workspace engine appends into
-// one persistent InternedWorkspace and resumes its chase.
+// verify exactness over growing universes. BENCH_armstrong.json records one
+// `_workspace` entry per build workload (the builder appends into one
+// persistent InternedWorkspace and resumes its chase) plus a
+// fullsweep/incremental pair for the multi-round session.
 #include <cstdio>
 
 #include <benchmark/benchmark.h>
@@ -127,9 +127,9 @@ void EmitSessionReport(BenchReporter& reporter, bool smoke) {
                    static_cast<double>(wall[1] == 0 ? 1 : wall[1]));
 }
 
-/// Times both Armstrong engines on the two recorded workloads and emits
-/// one legacy/workspace entry pair each (steps = universe size decided and
-/// verified per build).
+/// Times the builder on the two recorded workloads and emits one
+/// `_workspace` entry each (steps = universe size decided and verified per
+/// build).
 void EmitJsonReport(bool smoke) {
   BenchReporter reporter("armstrong");
   EmitSessionReport(reporter, smoke);
@@ -191,25 +191,15 @@ void EmitJsonReport(bool smoke) {
     const ImplicationOracle& oracle =
         w.inds.empty() ? static_cast<const ImplicationOracle&>(fd_oracle)
                        : chase_oracle;
-    std::uint64_t wall[2] = {0, 0};
-    for (int engine = 0; engine < 2; ++engine) {
-      ArmstrongBuildOptions options;
-      options.engine = engine == 1 ? ArmstrongEngine::kWorkspace
-                                   : ArmstrongEngine::kLegacy;
-      wall[engine] = MedianWallNs(smoke ? 1 : 5, [&] {
-        Result<ArmstrongReport> report = BuildArmstrongDatabase(
-            w.scheme, w.fds, w.inds, w.universe, oracle, options);
-        CCFP_CHECK(report.ok());
-      });
-      reporter.Add(StrCat(w.name, engine == 1 ? "_workspace" : "_legacy"),
-                   w.n, wall[engine], w.universe.size());
-    }
-    std::fprintf(stderr,
-                 "%s (universe %zu): legacy %.2f ms, workspace %.2f ms, "
-                 "speedup %.2fx\n",
-                 w.name, w.universe.size(), wall[0] / 1e6, wall[1] / 1e6,
-                 static_cast<double>(wall[0]) /
-                     static_cast<double>(wall[1] == 0 ? 1 : wall[1]));
+    std::uint64_t wall = MedianWallNs(smoke ? 1 : 5, [&] {
+      Result<ArmstrongReport> report = BuildArmstrongDatabase(
+          w.scheme, w.fds, w.inds, w.universe, oracle);
+      CCFP_CHECK(report.ok());
+    });
+    reporter.Add(StrCat(w.name, "_workspace"), w.n, wall,
+                 w.universe.size());
+    std::fprintf(stderr, "%s (universe %zu): %.2f ms\n", w.name,
+                 w.universe.size(), wall / 1e6);
   }
   reporter.WriteFile();
 }

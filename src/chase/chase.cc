@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <unordered_map>
 
-#include "chase/incremental.h"
+#include "chase/workspace_chase.h"
+#include "core/satisfies.h"
+#include "core/workspace.h"
 #include "util/check.h"
 #include "util/strings.h"
 
@@ -84,6 +86,15 @@ std::uint64_t MaxNullId(const Database& db) {
   return max_id;
 }
 
+/// Rejects a Sigma invalid for `scheme` before any chase is built (the
+/// engines CHECK-fail on one).
+Status ValidateSigma(const DatabaseScheme& scheme, const std::vector<Fd>& fds,
+                     const std::vector<Ind>& inds) {
+  for (const Fd& fd : fds) CCFP_RETURN_NOT_OK(Validate(scheme, fd));
+  for (const Ind& ind : inds) CCFP_RETURN_NOT_OK(Validate(scheme, ind));
+  return Status::OK();
+}
+
 }  // namespace
 
 Chase::Chase(SchemePtr scheme, std::vector<Fd> fds, std::vector<Ind> inds)
@@ -101,26 +112,18 @@ Chase::Chase(SchemePtr scheme, std::vector<Fd> fds, std::vector<Ind> inds)
 
 Result<ChaseResult> Chase::Run(Database initial,
                                const ChaseOptions& options) const {
-  if (options.engine == ChaseEngine::kIncremental) {
-    return RunIncrementalChase(scheme_, fds_, inds_, std::move(initial),
-                               options);
+  if (options.engine == ChaseEngine::kNaive) {
+    return RunNaive(std::move(initial), options);
   }
-  return RunNaive(std::move(initial), options);
-}
-
-Result<InternedChaseResult> Chase::RunInterned(
-    Database initial, const ChaseOptions& options) const {
-  if (options.engine == ChaseEngine::kIncremental) {
-    return RunIncrementalChaseInterned(scheme_, fds_, inds_,
-                                       std::move(initial), options);
-  }
-  CCFP_ASSIGN_OR_RETURN(ChaseResult naive,
-                        RunNaive(std::move(initial), options));
-  InternedChaseResult result(IdDatabase(naive.db));
-  result.outcome = naive.outcome;
-  result.fd_merges = naive.fd_merges;
-  result.ind_tuples = naive.ind_tuples;
-  result.steps = naive.steps;
+  InternedWorkspace ws(scheme_);
+  ws.AppendDatabase(initial);
+  WorkspaceChase chaser(&ws, fds_, inds_);
+  CCFP_ASSIGN_OR_RETURN(WorkspaceChaseStats stats, chaser.Run(options));
+  ChaseResult result(ws.Materialize());
+  result.outcome = stats.outcome;
+  result.fd_merges = stats.fd_merges;
+  result.ind_tuples = stats.ind_tuples;
+  result.steps = stats.steps;
   return result;
 }
 
@@ -273,72 +276,79 @@ Result<bool> ChaseImplies(SchemePtr scheme, const std::vector<Fd>& fds,
                           const std::vector<Ind>& inds,
                           const Dependency& target,
                           const ChaseOptions& options) {
+  CCFP_RETURN_NOT_OK(ValidateSigma(*scheme, fds, inds));
   CCFP_ASSIGN_OR_RETURN(Database seed, MakeCanonicalSeed(scheme, target));
-  Chase chase(scheme, fds, inds);
-  CCFP_ASSIGN_OR_RETURN(InternedChaseResult result,
-                        chase.RunInterned(std::move(seed), options));
-  if (result.outcome == ChaseOutcome::kFailed) {
-    // Cannot happen from an all-null seed (no constants to clash); if a
-    // caller seeds constants via Run directly they handle failure there.
+  // The fixpoint is a universal model of (Sigma, seed): the target holds in
+  // it iff Sigma implies the target. A failed chase cannot happen from an
+  // all-null seed (no constants to clash).
+  if (options.engine == ChaseEngine::kNaive) {
+    Chase chase(scheme, fds, inds);
+    CCFP_ASSIGN_OR_RETURN(ChaseResult result,
+                          chase.Run(std::move(seed), options));
+    if (result.outcome == ChaseOutcome::kFailed) {
+      return Status::Internal("chase failed from an all-null seed");
+    }
+    return Satisfies(result.db, target);
+  }
+  InternedWorkspace ws(scheme);
+  ws.AppendDatabase(seed);
+  WorkspaceChase chaser(&ws, fds, inds);
+  CCFP_ASSIGN_OR_RETURN(WorkspaceChaseStats stats, chaser.Run(options));
+  if (stats.outcome == ChaseOutcome::kFailed) {
     return Status::Internal("chase failed from an all-null seed");
   }
-  // The fixpoint is a universal model of (Sigma, seed): the target holds in
-  // it iff Sigma implies the target. The fixpoint is already interned, so
-  // the check is pure integer probing.
-  return result.db.Satisfies(target);
+  return ws.Satisfies(target);
 }
 
 Result<ChaseImplication> ChaseImplies(SchemePtr scheme,
                                       const std::vector<Fd>& fds,
                                       const std::vector<Ind>& inds,
                                       const Dependency& target,
-                                      const Budget& budget,
-                                      ChaseEngine engine) {
+                                      const Budget& budget) {
+  CCFP_RETURN_NOT_OK(ValidateSigma(*scheme, fds, inds));
   CCFP_ASSIGN_OR_RETURN(Database seed, MakeCanonicalSeed(scheme, target));
-  Chase chase(scheme, fds, inds);
-  ChaseOptions options = ChaseOptions::FromBudget(budget, engine);
-  Result<InternedChaseResult> run =
-      chase.RunInterned(std::move(seed), options);
+  InternedWorkspace ws(scheme);
+  ws.AppendDatabase(seed);
+  WorkspaceChase chaser(&ws, fds, inds);
+  Result<WorkspaceChaseStats> run =
+      chaser.Run(ChaseOptions::FromBudget(budget));
+  // Read off the chase's own counters, exhausted runs included.
+  const WorkspaceChaseStats done = chaser.stats();
   ChaseImplication out;
+  out.fd_merges = done.fd_merges;
+  out.ind_tuples = done.ind_tuples;
+  out.steps = done.steps;
+  out.used.steps = done.steps;
+  out.used.tuples = done.ind_tuples;
   if (!run.ok()) {
+    // Budget exhaustion is the kUnknown verdict, not an error.
     if (run.status().code() != StatusCode::kResourceExhausted) {
       return run.status();
     }
-    // Budget exhaustion is the kUnknown verdict, not an error. The
-    // engine's counters are lost on the error path, so charge the full
-    // allowance on both metered axes (the convention every solver stage
-    // follows: exhaustion consumed the whole slice, as an upper bound).
-    out.used.steps = budget.steps;
-    out.used.tuples = budget.tuples;
     return out;
   }
   if (run->outcome == ChaseOutcome::kFailed) {
     return Status::Internal("chase failed from an all-null seed");
   }
-  out.fd_merges = run->fd_merges;
-  out.ind_tuples = run->ind_tuples;
-  out.steps = run->steps;
-  out.used.steps = run->steps;
-  out.used.tuples = run->ind_tuples;
-  if (run->db.Satisfies(target)) {
+  if (ws.Satisfies(target)) {
     out.verdict = ImplicationVerdict::kImplied;
     return out;
   }
-  // The fixpoint refutes the target; re-check it against sigma in
-  // id-space before handing it out as evidence (a fixpoint violating its
-  // own sigma would be an engine bug, not a counterexample).
+  // The fixpoint refutes the target; re-check it against sigma on the
+  // chased workspace before handing it out as evidence (a fixpoint
+  // violating its own sigma would be an engine bug, not a counterexample).
   for (const Fd& fd : fds) {
-    if (!run->db.Satisfies(fd)) {
+    if (!ws.Satisfies(fd)) {
       return Status::Internal("chase fixpoint violates a sigma FD");
     }
   }
   for (const Ind& ind : inds) {
-    if (!run->db.Satisfies(ind)) {
+    if (!ws.Satisfies(ind)) {
       return Status::Internal("chase fixpoint violates a sigma IND");
     }
   }
   out.verdict = ImplicationVerdict::kNotImplied;
-  out.counterexample = run->db.Materialize();
+  out.counterexample = ws.Materialize();
   return out;
 }
 

@@ -8,7 +8,6 @@
 
 #include "core/database.h"
 #include "core/dependency.h"
-#include "core/interned.h"
 #include "core/verdict.h"
 #include "util/budget.h"
 #include "util/status.h"
@@ -28,9 +27,10 @@ namespace ccfp {
 
 /// Which chase engine to run.
 enum class ChaseEngine : std::uint8_t {
-  /// Delta-driven engine (chase/incremental.h): interned values, dense
-  /// union-find, persistent per-FD/per-IND indexes, dirty worklists. Work
-  /// is proportional to the change each rule firing causes. The default.
+  /// Delta-driven engine (chase/workspace_chase.h) on a fresh
+  /// InternedWorkspace: interned values, dense union-find, persistent
+  /// per-FD/per-IND indexes, dirty worklists. Work is proportional to the
+  /// change each rule firing causes. The default.
   kIncremental = 0,
   /// The original restart-loop engine: every pass rebuilds its indexes and
   /// rescans every tuple. O(passes x deps x tuples); kept as a simple
@@ -59,14 +59,12 @@ struct ChaseOptions {
   /// Maps the shared Budget vocabulary onto the chase's knobs
   /// (steps -> max_steps, tuples -> max_tuples, bytes -> max_bytes,
   /// deadline -> deadline).
-  static ChaseOptions FromBudget(const Budget& budget,
-                                 ChaseEngine engine = ChaseEngine::kIncremental) {
+  static ChaseOptions FromBudget(const Budget& budget) {
     ChaseOptions options;
     options.max_steps = budget.steps;
     options.max_tuples = budget.tuples;
     options.max_bytes = budget.bytes;
     options.deadline = budget.deadline;
-    options.engine = engine;
     return options;
   }
 };
@@ -88,21 +86,6 @@ struct ChaseResult {
   explicit ChaseResult(Database database) : db(std::move(database)) {}
 };
 
-/// Chase result kept in id-space: the incremental engine hands over its
-/// interner and canonicalized id-tuples, so verification (Satisfies /
-/// ObeysExactly on the IdDatabase) runs without re-interning a single
-/// Value — the build -> chase -> verify round trip interns values once.
-struct InternedChaseResult {
-  ChaseOutcome outcome = ChaseOutcome::kFixpoint;
-  IdDatabase db;
-  std::uint64_t fd_merges = 0;
-  std::uint64_t ind_tuples = 0;
-  std::uint64_t steps = 0;
-
-  explicit InternedChaseResult(IdDatabase database)
-      : db(std::move(database)) {}
-};
-
 class Chase {
  public:
   /// CHECK-fails if any dependency is invalid for `scheme`.
@@ -117,13 +100,6 @@ class Chase {
   /// `options.engine`; both engines agree on outcome and tuple counts.
   Result<ChaseResult> Run(Database initial,
                           const ChaseOptions& options = {}) const;
-
-  /// Like Run, but keeps the result interned (see InternedChaseResult).
-  /// With the naive engine the result database is interned after the run
-  /// (one extra pass); with the incremental engine the engine's own
-  /// interner is reused at zero conversion cost.
-  Result<InternedChaseResult> RunInterned(
-      Database initial, const ChaseOptions& options = {}) const;
 
  private:
   Result<ChaseResult> RunNaive(Database initial,
@@ -148,8 +124,11 @@ Result<Database> MakeCanonicalSeed(SchemePtr scheme,
 /// Sigma and an FD / IND / RD target, by chasing the canonical database of
 /// the target (the standard universal-model argument). If the chase
 /// reaches a fixpoint, the answer is exact: target holds in the chased
-/// database iff Sigma |= target. Budget exhaustion returns
-/// ResourceExhausted (unknown) — unavoidable, by undecidability.
+/// database iff Sigma |= target. The incremental engine checks the target
+/// on the workspace it chased; the naive one on its result database.
+/// Budget exhaustion returns ResourceExhausted (unknown) — unavoidable, by
+/// undecidability. A Sigma or target invalid for `scheme` is
+/// InvalidArgument.
 ///
 /// Deprecated entry point: prefer the Budget overload below (three-valued,
 /// with evidence) or ImplicationSolver::Solve for fragment routing.
@@ -163,7 +142,8 @@ struct ChaseImplication {
   /// kUnknown iff the chase exhausted its budget before a fixpoint.
   ImplicationVerdict verdict = ImplicationVerdict::kUnknown;
   /// Chase counters — the "proof trace" of a kImplied verdict (the
-  /// universal-model argument: target holds in the chased fixpoint).
+  /// universal-model argument: target holds in the chased fixpoint); on
+  /// kUnknown, the work done before the budget ran out.
   std::uint64_t fd_merges = 0;
   std::uint64_t ind_tuples = 0;
   std::uint64_t steps = 0;
@@ -171,22 +151,20 @@ struct ChaseImplication {
   /// satisfying Sigma (re-checked in id-space before it is attached) and
   /// violating the target.
   std::optional<Database> counterexample;
-  /// Budget consumed (steps + tuples generated). On a kUnknown verdict
-  /// the engine's exact counters are lost, so the full allowance is
-  /// charged on both axes (an upper bound — the shared convention for
-  /// exhausted stages).
+  /// Budget consumed (steps + tuples generated), read off the chase's
+  /// own counters on every verdict. An exhausted chase stops before the
+  /// step that would cross the budget, so this never exceeds it.
   BudgetUse used;
 };
 
-/// Budget-vocabulary ChaseImplies: never errors on exhaustion (that is the
-/// kUnknown verdict); error statuses are reserved for invalid inputs.
+/// Budget-vocabulary ChaseImplies on the incremental engine: never errors
+/// on exhaustion (that is the kUnknown verdict); error statuses are
+/// reserved for invalid inputs.
 Result<ChaseImplication> ChaseImplies(SchemePtr scheme,
                                       const std::vector<Fd>& fds,
                                       const std::vector<Ind>& inds,
                                       const Dependency& target,
-                                      const Budget& budget,
-                                      ChaseEngine engine =
-                                          ChaseEngine::kIncremental);
+                                      const Budget& budget);
 
 }  // namespace ccfp
 

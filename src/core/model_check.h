@@ -8,57 +8,44 @@
 
 #include "core/dependency.h"
 #include "core/intern.h"
-#include "core/interned.h"
 #include "core/tuple.h"
+#include "core/workspace.h"
 
 namespace ccfp {
 namespace model_check {
 
-/// The one id-space model-checking implementation, shared by the two
-/// interned substrates via a *partition provider*:
+/// The id-space model-checking implementation behind
+/// `InternedWorkspace::Satisfies` / `FindViolation`. It reads the
+/// workspace's slot store and cached projection partitions:
 ///
-///   * `IdDatabase` (core/interned.h) — an immutable snapshot; every slot
-///     is alive;
-///   * `InternedWorkspace` (core/workspace.h) — the mutable chase
-///     substrate, whose partitions carry kNoGroup dead slots for tuples
-///     merged away mid-chase.
+///   * dead (merged-away) slots carry `kNoGroup` in every partition and
+///     are skipped;
+///   * a partition that went through surgical repair can carry
+///     *tombstoned* groups (`group_size == 0`) whose `key_to_group` entry
+///     lingers — every check below treats a key hit on a tombstone as a
+///     miss, and none relies on group ids being in first-occurrence order
+///     (repairs keep ids stable rather than sorted).
 ///
-/// A provider exposes the slot store and cached projection partitions:
-///
-///   std::uint32_t SlotCount(RelId) const;      // slots, dead included
-///   std::size_t AliveCount(RelId) const;       // alive slots only
-///   bool Alive(RelId, std::uint32_t) const;
-///   const IdTuple& Slot(RelId, std::uint32_t) const;
-///   const P& Partition(RelId, const std::vector<AttrId>&) const;
-///
-/// where P has `group_of` / `group_count` / `group_size` / `alive_groups`
-/// / `key_to_group` (IdRelation::Partition and InternedWorkspace::
-/// Partition are field-compatible). Dead slots are those whose `group_of`
-/// entry is `kDeadGroup`; providers without dead slots simply never
-/// produce it. A workspace partition that went through surgical repair
-/// can additionally carry *tombstoned* groups (`group_size == 0`) whose
-/// `key_to_group` entry lingers — every check below treats a key hit on a
-/// tombstone as a miss, and none relies on group ids being in
-/// first-occurrence order (repairs keep ids stable rather than sorted).
-///
-/// Both substrates are pinned by the differential suites
-/// (tests/satisfies_property_test.cc, tests/emvd_chase_property_test.cc),
-/// which rely on the witness order being identical across engines: every
-/// scan below walks slots front-to-back, so the first violation reported
-/// matches a legacy front-to-back scan.
-inline constexpr std::uint32_t kDeadGroup = UINT32_MAX;
+/// The differential suites (tests/satisfies_property_test.cc,
+/// tests/emvd_chase_property_test.cc) rely on the witness order being
+/// identical to the legacy Value-hashing engine: every scan below walks
+/// slots front-to-back, so the first violation reported matches a legacy
+/// front-to-back scan.
+/// Slots of `rel`, dead ones included.
+inline std::uint32_t SlotCount(const InternedWorkspace& ws, RelId rel) {
+  return static_cast<std::uint32_t>(ws.size(rel));
+}
 
-template <typename Provider>
-bool SatisfiesFd(const Provider& p, const Fd& fd) {
-  if (p.AliveCount(fd.rel) == 0) return true;
-  const auto& lhs = p.Partition(fd.rel, fd.lhs);
-  const auto& rhs = p.Partition(fd.rel, fd.rhs);
+inline bool SatisfiesFd(const InternedWorkspace& ws, const Fd& fd) {
+  if (ws.AliveTuples(fd.rel) == 0) return true;
+  const auto& lhs = ws.partition(fd.rel, fd.lhs);
+  const auto& rhs = ws.partition(fd.rel, fd.rhs);
   // The FD holds iff the lhs partition refines the rhs partition.
   std::vector<std::uint32_t> seen(lhs.group_count, UINT32_MAX);
-  std::uint32_t n = p.SlotCount(fd.rel);
+  std::uint32_t n = SlotCount(ws, fd.rel);
   for (std::uint32_t i = 0; i < n; ++i) {
     std::uint32_t g = lhs.group_of[i];
-    if (g == kDeadGroup) continue;
+    if (g == InternedWorkspace::kNoGroup) continue;
     std::uint32_t h = rhs.group_of[i];
     if (seen[g] == UINT32_MAX) {
       seen[g] = h;
@@ -71,17 +58,16 @@ bool SatisfiesFd(const Provider& p, const Fd& fd) {
 
 /// True iff `key` names a group with at least one alive member of `p`
 /// (tombstoned groups left behind by surgical repair do not count).
-template <typename P>
-bool HasAliveGroup(const P& p, const IdTuple& key) {
+inline bool HasAliveGroup(const InternedWorkspace::Partition& p,
+                          const IdTuple& key) {
   auto it = p.key_to_group.find(key);
   return it != p.key_to_group.end() && p.group_size[it->second] > 0;
 }
 
-template <typename Provider>
-bool SatisfiesInd(const Provider& p, const Ind& ind) {
-  if (p.AliveCount(ind.lhs_rel) == 0) return true;
-  const auto& lhs_p = p.Partition(ind.lhs_rel, ind.lhs);
-  const auto& rhs_p = p.Partition(ind.rhs_rel, ind.rhs);
+inline bool SatisfiesInd(const InternedWorkspace& ws, const Ind& ind) {
+  if (ws.AliveTuples(ind.lhs_rel) == 0) return true;
+  const auto& lhs_p = ws.partition(ind.lhs_rel, ind.lhs);
+  const auto& rhs_p = ws.partition(ind.rhs_rel, ind.rhs);
   // Each alive lhs group's key IS the projection of its members onto
   // ind.lhs — probe it into the rhs partition directly.
   for (const auto& [key, g] : lhs_p.key_to_group) {
@@ -91,12 +77,11 @@ bool SatisfiesInd(const Provider& p, const Ind& ind) {
   return true;
 }
 
-template <typename Provider>
-bool SatisfiesRd(const Provider& p, const Rd& rd) {
-  std::uint32_t n = p.SlotCount(rd.rel);
+inline bool SatisfiesRd(const InternedWorkspace& ws, const Rd& rd) {
+  std::uint32_t n = SlotCount(ws, rd.rel);
   for (std::uint32_t i = 0; i < n; ++i) {
-    if (!p.Alive(rd.rel, i)) continue;
-    const IdTuple& t = p.Slot(rd.rel, i);
+    if (!ws.alive(rd.rel, i)) continue;
+    const IdTuple& t = ws.tuple(rd.rel, i);
     for (std::size_t k = 0; k < rd.lhs.size(); ++k) {
       if (t[rd.lhs[k]] != t[rd.rhs[k]]) return false;
     }
@@ -104,17 +89,16 @@ bool SatisfiesRd(const Provider& p, const Rd& rd) {
   return true;
 }
 
-template <typename Provider>
-bool SatisfiesEmvdOn(const Provider& p, RelId rel,
-                     const std::vector<AttrId>& x,
-                     const std::vector<AttrId>& y,
-                     const std::vector<AttrId>& z) {
-  if (p.AliveCount(rel) == 0) return true;
+inline bool SatisfiesEmvdOn(const InternedWorkspace& ws, RelId rel,
+                            const std::vector<AttrId>& x,
+                            const std::vector<AttrId>& y,
+                            const std::vector<AttrId>& z) {
+  if (ws.AliveTuples(rel) == 0) return true;
   std::vector<AttrId> xy = AppendDistinctAttrs(x, y);
   std::vector<AttrId> xz = AppendDistinctAttrs(x, z);
-  const auto& x_p = p.Partition(rel, x);
-  const auto& xy_p = p.Partition(rel, xy);
-  const auto& xz_p = p.Partition(rel, xz);
+  const auto& x_p = ws.partition(rel, x);
+  const auto& xy_p = ws.partition(rel, xy);
+  const auto& xz_p = ws.partition(rel, xz);
   // Per X-group distinct XY / XZ / (XY, XZ) counts. XY refines X, so an XY
   // group belongs to exactly one X group (likewise XZ and pairs) — the
   // group obeys the EMVD iff pairs == xy_distinct * xz_distinct.
@@ -124,11 +108,11 @@ bool SatisfiesEmvdOn(const Provider& p, RelId rel,
   std::vector<std::uint8_t> seen_xy(xy_p.group_count, 0);
   std::vector<std::uint8_t> seen_xz(xz_p.group_count, 0);
   std::unordered_set<std::uint64_t> pairs;
-  pairs.reserve(p.AliveCount(rel));
-  std::uint32_t n = p.SlotCount(rel);
+  pairs.reserve(ws.AliveTuples(rel));
+  std::uint32_t n = SlotCount(ws, rel);
   for (std::uint32_t i = 0; i < n; ++i) {
     std::uint32_t g = x_p.group_of[i];
-    if (g == kDeadGroup) continue;
+    if (g == InternedWorkspace::kNoGroup) continue;
     std::uint32_t gy = xy_p.group_of[i];
     std::uint32_t gz = xz_p.group_of[i];
     if (!seen_xy[gy]) {
@@ -147,47 +131,44 @@ bool SatisfiesEmvdOn(const Provider& p, RelId rel,
   return true;
 }
 
-template <typename Provider>
-bool SatisfiesDependency(const Provider& p, const DatabaseScheme& scheme,
-                         const Dependency& dep) {
+inline bool SatisfiesDependency(const InternedWorkspace& ws,
+                                const Dependency& dep) {
   switch (dep.kind()) {
     case DependencyKind::kFd:
-      return SatisfiesFd(p, dep.fd());
+      return SatisfiesFd(ws, dep.fd());
     case DependencyKind::kInd:
-      return SatisfiesInd(p, dep.ind());
+      return SatisfiesInd(ws, dep.ind());
     case DependencyKind::kRd:
-      return SatisfiesRd(p, dep.rd());
+      return SatisfiesRd(ws, dep.rd());
     case DependencyKind::kEmvd:
-      return SatisfiesEmvdOn(p, dep.emvd().rel, dep.emvd().x, dep.emvd().y,
+      return SatisfiesEmvdOn(ws, dep.emvd().rel, dep.emvd().x, dep.emvd().y,
                              dep.emvd().z);
     case DependencyKind::kMvd:
-      return SatisfiesEmvdOn(p, dep.mvd().rel, dep.mvd().x, dep.mvd().y,
-                             MvdComplement(scheme, dep.mvd()));
+      return SatisfiesEmvdOn(ws, dep.mvd().rel, dep.mvd().x, dep.mvd().y,
+                             MvdComplement(ws.scheme(), dep.mvd()));
   }
   return false;
 }
 
-template <typename Provider>
-std::optional<IdViolation> FindEmvdViolation(const Provider& p, RelId rel,
-                                             const std::vector<AttrId>& x,
-                                             const std::vector<AttrId>& y,
-                                             const std::vector<AttrId>& z) {
-  if (SatisfiesEmvdOn(p, rel, x, y, z)) return std::nullopt;
+inline std::optional<IdViolation> FindEmvdViolation(
+    const InternedWorkspace& ws, RelId rel, const std::vector<AttrId>& x,
+    const std::vector<AttrId>& y, const std::vector<AttrId>& z) {
+  if (SatisfiesEmvdOn(ws, rel, x, y, z)) return std::nullopt;
   std::vector<AttrId> xy = AppendDistinctAttrs(x, y);
   std::vector<AttrId> xz = AppendDistinctAttrs(x, z);
-  const auto& x_p = p.Partition(rel, x);
-  const auto& xy_p = p.Partition(rel, xy);
-  const auto& xz_p = p.Partition(rel, xz);
-  std::uint32_t n = p.SlotCount(rel);
+  const auto& x_p = ws.partition(rel, x);
+  const auto& xy_p = ws.partition(rel, xy);
+  const auto& xz_p = ws.partition(rel, xz);
+  std::uint32_t n = SlotCount(ws, rel);
   std::unordered_set<std::uint64_t> pairs;
   for (std::uint32_t i = 0; i < n; ++i) {
-    if (x_p.group_of[i] == kDeadGroup) continue;
+    if (x_p.group_of[i] == InternedWorkspace::kNoGroup) continue;
     pairs.insert(PackIdPair(xy_p.group_of[i], xz_p.group_of[i]));
   }
   // Diagnostics path only: quadratic scan for the first same-group pair
   // whose (XY, XZ) combination has no witness tuple.
   for (std::uint32_t i = 0; i < n; ++i) {
-    if (x_p.group_of[i] == kDeadGroup) continue;
+    if (x_p.group_of[i] == InternedWorkspace::kNoGroup) continue;
     for (std::uint32_t j = 0; j < n; ++j) {
       if (x_p.group_of[i] != x_p.group_of[j]) continue;
       if (pairs.count(PackIdPair(xy_p.group_of[i], xz_p.group_of[j])) == 0) {
@@ -198,21 +179,19 @@ std::optional<IdViolation> FindEmvdViolation(const Provider& p, RelId rel,
   return IdViolation{rel, {}};  // unreachable if Satisfies was false
 }
 
-template <typename Provider>
-std::optional<IdViolation> FindViolation(const Provider& p,
-                                         const DatabaseScheme& scheme,
-                                         const Dependency& dep) {
+inline std::optional<IdViolation> FindViolation(const InternedWorkspace& ws,
+                                                const Dependency& dep) {
   switch (dep.kind()) {
     case DependencyKind::kFd: {
       const Fd& fd = dep.fd();
-      if (p.AliveCount(fd.rel) == 0) return std::nullopt;
-      const auto& lhs = p.Partition(fd.rel, fd.lhs);
-      const auto& rhs = p.Partition(fd.rel, fd.rhs);
+      if (ws.AliveTuples(fd.rel) == 0) return std::nullopt;
+      const auto& lhs = ws.partition(fd.rel, fd.lhs);
+      const auto& rhs = ws.partition(fd.rel, fd.rhs);
       std::vector<std::uint32_t> first(lhs.group_count, UINT32_MAX);
-      std::uint32_t n = p.SlotCount(fd.rel);
+      std::uint32_t n = SlotCount(ws, fd.rel);
       for (std::uint32_t i = 0; i < n; ++i) {
         std::uint32_t g = lhs.group_of[i];
-        if (g == kDeadGroup) continue;
+        if (g == InternedWorkspace::kNoGroup) continue;
         if (first[g] == UINT32_MAX) {
           first[g] = i;
         } else if (rhs.group_of[first[g]] != rhs.group_of[i]) {
@@ -223,20 +202,20 @@ std::optional<IdViolation> FindViolation(const Provider& p,
     }
     case DependencyKind::kInd: {
       const Ind& ind = dep.ind();
-      const auto& lhs_p = p.Partition(ind.lhs_rel, ind.lhs);
-      const auto& rhs_p = p.Partition(ind.rhs_rel, ind.rhs);
+      const auto& lhs_p = ws.partition(ind.lhs_rel, ind.lhs);
+      const auto& rhs_p = ws.partition(ind.rhs_rel, ind.rhs);
       IdTuple key;
       // Front-to-back over slots, probing each group once — the first
       // slot of the first missing group in slot order is the witness,
       // identical to a legacy front-to-back scan (and independent of the
       // group numbering, which repairs do not keep sorted).
       std::vector<std::uint8_t> checked(lhs_p.group_count, 0);
-      std::uint32_t n = p.SlotCount(ind.lhs_rel);
+      std::uint32_t n = SlotCount(ws, ind.lhs_rel);
       for (std::uint32_t i = 0; i < n; ++i) {
         std::uint32_t g = lhs_p.group_of[i];
-        if (g == kDeadGroup || checked[g]) continue;
+        if (g == InternedWorkspace::kNoGroup || checked[g]) continue;
         checked[g] = 1;
-        const IdTuple& t = p.Slot(ind.lhs_rel, i);
+        const IdTuple& t = ws.tuple(ind.lhs_rel, i);
         key.clear();
         for (AttrId c : ind.lhs) key.push_back(t[c]);
         if (!HasAliveGroup(rhs_p, key)) {
@@ -247,10 +226,10 @@ std::optional<IdViolation> FindViolation(const Provider& p,
     }
     case DependencyKind::kRd: {
       const Rd& rd = dep.rd();
-      std::uint32_t n = p.SlotCount(rd.rel);
+      std::uint32_t n = SlotCount(ws, rd.rel);
       for (std::uint32_t i = 0; i < n; ++i) {
-        if (!p.Alive(rd.rel, i)) continue;
-        const IdTuple& t = p.Slot(rd.rel, i);
+        if (!ws.alive(rd.rel, i)) continue;
+        const IdTuple& t = ws.tuple(rd.rel, i);
         for (std::size_t k = 0; k < rd.lhs.size(); ++k) {
           if (t[rd.lhs[k]] != t[rd.rhs[k]]) {
             return IdViolation{rd.rel, {i}};
@@ -260,11 +239,11 @@ std::optional<IdViolation> FindViolation(const Provider& p,
       return std::nullopt;
     }
     case DependencyKind::kEmvd:
-      return FindEmvdViolation(p, dep.emvd().rel, dep.emvd().x,
+      return FindEmvdViolation(ws, dep.emvd().rel, dep.emvd().x,
                                dep.emvd().y, dep.emvd().z);
     case DependencyKind::kMvd:
-      return FindEmvdViolation(p, dep.mvd().rel, dep.mvd().x, dep.mvd().y,
-                               MvdComplement(scheme, dep.mvd()));
+      return FindEmvdViolation(ws, dep.mvd().rel, dep.mvd().x, dep.mvd().y,
+                               MvdComplement(ws.scheme(), dep.mvd()));
   }
   return std::nullopt;
 }

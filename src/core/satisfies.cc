@@ -12,7 +12,7 @@ namespace ccfp {
 
 namespace {
 
-/// The relations a dependency's satisfaction depends on — the interned
+/// The relations a dependency's satisfaction depends on — the
 /// single-dependency fast path interns only these.
 std::vector<RelId> InvolvedRels(const Dependency& dep) {
   switch (dep.kind()) {
@@ -28,6 +28,47 @@ std::vector<RelId> InvolvedRels(const Dependency& dep) {
       return {dep.mvd().rel};
   }
   return {};
+}
+
+/// A model-checking workspace holding the relations `rels` of `db` (the
+/// others stay empty). A Relation is a set and the workspace keeps
+/// insertion order, so slot i is tuple i of the source relation and
+/// witness slots are `Violation::tuple_indices` as they stand.
+InternedWorkspace InternRelations(const Database& db,
+                                  const std::vector<RelId>& rels) {
+  InternedWorkspace ws(db.scheme_ptr());
+  for (RelId rel : rels) {
+    if (ws.size(rel) == 0) ws.AppendRelation(db, rel);
+  }
+  return ws;
+}
+
+InternedWorkspace InternDatabase(const Database& db) {
+  InternedWorkspace ws(db.scheme_ptr());
+  ws.AppendDatabase(db);
+  return ws;
+}
+
+/// Shared body of the ObeysExactly entry points over any `holds` check.
+template <typename Holds>
+std::optional<std::string> ObeysExactlyBy(
+    const DatabaseScheme& scheme, const std::vector<Dependency>& universe,
+    const std::vector<Dependency>& expected, Holds holds) {
+  std::unordered_set<Dependency, DependencyHash> expected_set(
+      expected.begin(), expected.end());
+  for (const Dependency& dep : universe) {
+    bool obeyed = holds(dep);
+    bool should = expected_set.count(dep) > 0;
+    if (obeyed && !should) {
+      return StrCat("database obeys ", dep.ToString(scheme),
+                    " which is outside the expected set");
+    }
+    if (!obeyed && should) {
+      return StrCat("database violates ", dep.ToString(scheme),
+                    " which is inside the expected set");
+    }
+  }
+  return std::nullopt;
 }
 
 /// --- Legacy engine --------------------------------------------------------
@@ -261,18 +302,18 @@ std::optional<Violation> FindViolation(const Database& db,
 
 /// Renders an IdViolation into the user-facing Violation, materializing the
 /// offending tuples from the interner.
-Violation RenderViolation(const IdDatabase& db, const Dependency& dep,
+Violation RenderViolation(const InternedWorkspace& ws, const Dependency& dep,
                           const IdViolation& idv) {
-  const DatabaseScheme& scheme = db.scheme();
+  const DatabaseScheme& scheme = ws.scheme();
   Violation v;
   v.kind = dep.kind();
   v.rel = idv.rel;
   v.tuple_indices.assign(idv.tuple_indices.begin(), idv.tuple_indices.end());
   for (std::uint32_t idx : idv.tuple_indices) {
-    const IdTuple& it = db.relation(idv.rel).tuple(idx);
+    const IdTuple& it = ws.tuple(idv.rel, idx);
     Tuple t;
     t.reserve(it.size());
-    for (ValueId id : it) t.push_back(db.interner().value(id));
+    for (ValueId id : it) t.push_back(ws.interner().value(id));
     v.tuples.push_back(std::move(t));
   }
   switch (dep.kind()) {
@@ -310,26 +351,33 @@ Violation RenderViolation(const IdDatabase& db, const Dependency& dep,
   return v;
 }
 
+std::optional<Violation> FindViolationIn(const InternedWorkspace& ws,
+                                         const Dependency& dep) {
+  std::optional<IdViolation> idv = ws.FindViolation(dep);
+  if (!idv.has_value()) return std::nullopt;
+  return RenderViolation(ws, dep, *idv);
+}
+
 }  // namespace
 
 bool Satisfies(const Database& db, const Fd& fd) {
-  return IdDatabase(db, {fd.rel}).Satisfies(fd);
+  return InternRelations(db, {fd.rel}).Satisfies(fd);
 }
 
 bool Satisfies(const Database& db, const Ind& ind) {
-  return IdDatabase(db, {ind.lhs_rel, ind.rhs_rel}).Satisfies(ind);
+  return InternRelations(db, {ind.lhs_rel, ind.rhs_rel}).Satisfies(ind);
 }
 
 bool Satisfies(const Database& db, const Rd& rd) {
-  return IdDatabase(db, {rd.rel}).Satisfies(rd);
+  return InternRelations(db, {rd.rel}).Satisfies(rd);
 }
 
 bool Satisfies(const Database& db, const Emvd& emvd) {
-  return IdDatabase(db, {emvd.rel}).Satisfies(emvd);
+  return InternRelations(db, {emvd.rel}).Satisfies(emvd);
 }
 
 bool Satisfies(const Database& db, const Mvd& mvd) {
-  return IdDatabase(db, {mvd.rel}).Satisfies(mvd);
+  return InternRelations(db, {mvd.rel}).Satisfies(mvd);
 }
 
 bool Satisfies(const Database& db, const Dependency& dep,
@@ -337,7 +385,7 @@ bool Satisfies(const Database& db, const Dependency& dep,
   if (options.engine == SatisfiesEngine::kLegacy) {
     return legacy::Satisfies(db, dep);
   }
-  return IdDatabase(db, InvolvedRels(dep)).Satisfies(dep);
+  return InternRelations(db, InvolvedRels(dep)).Satisfies(dep);
 }
 
 bool SatisfiesAll(const Database& db, const std::vector<Dependency>& deps,
@@ -348,8 +396,7 @@ bool SatisfiesAll(const Database& db, const std::vector<Dependency>& deps,
     }
     return true;
   }
-  IdDatabase id_db(db);
-  return id_db.SatisfiesAll(deps);
+  return InternDatabase(db).SatisfiesAll(deps);
 }
 
 std::vector<Dependency> SatisfiedSubset(const Database& db,
@@ -362,9 +409,9 @@ std::vector<Dependency> SatisfiedSubset(const Database& db,
     }
     return out;
   }
-  IdDatabase id_db(db);
+  InternedWorkspace ws = InternDatabase(db);
   for (const Dependency& dep : deps) {
-    if (id_db.Satisfies(dep)) out.push_back(dep);
+    if (ws.Satisfies(dep)) out.push_back(dep);
   }
   return out;
 }
@@ -375,26 +422,19 @@ std::optional<Violation> FindViolation(const Database& db,
   if (options.engine == SatisfiesEngine::kLegacy) {
     return legacy::FindViolation(db, dep);
   }
-  IdDatabase id_db(db, InvolvedRels(dep));
-  return FindViolation(id_db, dep);
+  return FindViolationIn(InternRelations(db, InvolvedRels(dep)), dep);
 }
 
 std::optional<Violation> FindFirstViolation(
     const Database& db, const std::vector<Dependency>& deps,
     const SatisfiesOptions& options) {
-  if (options.engine == SatisfiesEngine::kLegacy) {
-    for (std::size_t i = 0; i < deps.size(); ++i) {
-      std::optional<Violation> v = legacy::FindViolation(db, deps[i]);
-      if (v.has_value()) {
-        v->dep_index = i;
-        return v;
-      }
-    }
-    return std::nullopt;
-  }
-  IdDatabase id_db(db);
+  bool use_legacy = options.engine == SatisfiesEngine::kLegacy;
+  std::optional<InternedWorkspace> ws;
+  if (!use_legacy) ws.emplace(InternDatabase(db));
   for (std::size_t i = 0; i < deps.size(); ++i) {
-    std::optional<Violation> v = FindViolation(id_db, deps[i]);
+    std::optional<Violation> v = use_legacy
+                                     ? legacy::FindViolation(db, deps[i])
+                                     : FindViolationIn(*ws, deps[i]);
     if (v.has_value()) {
       v->dep_index = i;
       return v;
@@ -408,69 +448,19 @@ std::optional<std::string> ObeysExactly(
     const std::vector<Dependency>& expected,
     const SatisfiesOptions& options) {
   if (options.engine == SatisfiesEngine::kLegacy) {
-    std::unordered_set<Dependency, DependencyHash> expected_set(
-        expected.begin(), expected.end());
-    for (const Dependency& dep : universe) {
-      bool holds = legacy::Satisfies(db, dep);
-      bool should = expected_set.count(dep) > 0;
-      if (holds && !should) {
-        return StrCat("database obeys ", dep.ToString(db.scheme()),
-                      " which is outside the expected set");
-      }
-      if (!holds && should) {
-        return StrCat("database violates ", dep.ToString(db.scheme()),
-                      " which is inside the expected set");
-      }
-    }
-    return std::nullopt;
+    return ObeysExactlyBy(
+        db.scheme(), universe, expected,
+        [&db](const Dependency& dep) { return legacy::Satisfies(db, dep); });
   }
-  return ObeysExactly(IdDatabase(db), universe, expected);
-}
-
-std::optional<Violation> FindViolation(const IdDatabase& db,
-                                       const Dependency& dep) {
-  std::optional<IdViolation> idv = db.FindViolation(dep);
-  if (!idv.has_value()) return std::nullopt;
-  return RenderViolation(db, dep, *idv);
-}
-
-namespace {
-
-/// Shared body of the interned ObeysExactly overloads: any model exposing
-/// Satisfies(Dependency) and scheme() (IdDatabase, InternedWorkspace).
-template <typename Model>
-std::optional<std::string> ObeysExactlyIn(
-    const Model& model, const std::vector<Dependency>& universe,
-    const std::vector<Dependency>& expected) {
-  std::unordered_set<Dependency, DependencyHash> expected_set(
-      expected.begin(), expected.end());
-  for (const Dependency& dep : universe) {
-    bool holds = model.Satisfies(dep);
-    bool should = expected_set.count(dep) > 0;
-    if (holds && !should) {
-      return StrCat("database obeys ", dep.ToString(model.scheme()),
-                    " which is outside the expected set");
-    }
-    if (!holds && should) {
-      return StrCat("database violates ", dep.ToString(model.scheme()),
-                    " which is inside the expected set");
-    }
-  }
-  return std::nullopt;
-}
-
-}  // namespace
-
-std::optional<std::string> ObeysExactly(
-    const IdDatabase& db, const std::vector<Dependency>& universe,
-    const std::vector<Dependency>& expected) {
-  return ObeysExactlyIn(db, universe, expected);
+  return ObeysExactly(InternDatabase(db), universe, expected);
 }
 
 std::optional<std::string> ObeysExactly(
     const InternedWorkspace& ws, const std::vector<Dependency>& universe,
     const std::vector<Dependency>& expected) {
-  return ObeysExactlyIn(ws, universe, expected);
+  return ObeysExactlyBy(
+      ws.scheme(), universe, expected,
+      [&ws](const Dependency& dep) { return ws.Satisfies(dep); });
 }
 
 }  // namespace ccfp

@@ -8,7 +8,6 @@
 
 #include "core/database.h"
 #include "core/dependency.h"
-#include "core/interned.h"
 
 namespace ccfp {
 
@@ -16,9 +15,9 @@ class InternedWorkspace;  // core/workspace.h
 
 /// Which model-checking engine to run.
 enum class SatisfiesEngine : std::uint8_t {
-  /// Interns the involved relations into an IdDatabase once, then checks
-  /// over dense uint32 ids and cached projection partitions
-  /// (core/interned.h). The default.
+  /// Interns the involved relations into a local InternedWorkspace once,
+  /// then checks over dense uint32 ids and cached projection partitions
+  /// (core/workspace.h, core/model_check.h). The default.
   kInterned = 0,
   /// The original heap-Value hashing checks, kept as the differential
   /// reference (tests/satisfies_property_test.cc).
@@ -93,19 +92,6 @@ std::optional<std::string> ObeysExactly(
     const Database& db, const std::vector<Dependency>& universe,
     const std::vector<Dependency>& expected,
     const SatisfiesOptions& options = {});
-
-/// --- IdDatabase entry points ----------------------------------------------
-/// For callers that already hold an interned database (the Armstrong
-/// builders verify chase output without re-interning a single Value).
-
-/// Violation witness against an interned database; `tuple_indices` address
-/// `db.relation(rel).tuples()`.
-std::optional<Violation> FindViolation(const IdDatabase& db,
-                                       const Dependency& dep);
-
-std::optional<std::string> ObeysExactly(
-    const IdDatabase& db, const std::vector<Dependency>& universe,
-    const std::vector<Dependency>& expected);
 
 /// Same check against a persistent workspace (core/workspace.h) — the
 /// Armstrong repair loop verifies each round on the workspace it chased,

@@ -8,35 +8,6 @@
 
 namespace ccfp {
 
-namespace {
-
-/// Partition provider over the mutable substrate; dead (merged-away)
-/// slots surface as kNoGroup == model_check::kDeadGroup entries, which
-/// the shared checks in core/model_check.h skip.
-struct WorkspaceProvider {
-  const InternedWorkspace& ws;
-
-  std::uint32_t SlotCount(RelId rel) const {
-    return static_cast<std::uint32_t>(ws.size(rel));
-  }
-  std::size_t AliveCount(RelId rel) const { return ws.AliveTuples(rel); }
-  bool Alive(RelId rel, std::uint32_t idx) const {
-    return ws.alive(rel, idx);
-  }
-  const IdTuple& Slot(RelId rel, std::uint32_t idx) const {
-    return ws.tuple(rel, idx);
-  }
-  const InternedWorkspace::Partition& Partition(
-      RelId rel, const std::vector<AttrId>& cols) const {
-    return ws.partition(rel, cols);
-  }
-};
-
-static_assert(InternedWorkspace::kNoGroup == model_check::kDeadGroup,
-              "workspace dead-slot sentinel must match the shared checks");
-
-}  // namespace
-
 InternedWorkspace::InternedWorkspace(SchemePtr scheme)
     : scheme_(std::move(scheme)),
       rels_(scheme_->size()),
@@ -122,7 +93,12 @@ void InternedWorkspace::AppendDatabase(const Database& db) {
 
 void InternedWorkspace::AppendRelation(const Database& db, RelId rel) {
   const Relation& r = db.relation(rel);
-  rels_[rel].tuples.reserve(rels_[rel].tuples.size() + r.size());
+  RelStore& rs = rels_[rel];
+  std::size_t n = rs.tuples.size() + r.size();
+  rs.tuples.reserve(n);
+  rs.alive.reserve(n);
+  rs.dedup.reserve(n);
+  rs.feed.reserve(rs.feed.size() + r.size());
   for (const Tuple& t : r.tuples()) AppendTuple(rel, t);
 }
 
@@ -449,31 +425,29 @@ MemoryBreakdown InternedWorkspace::MemoryUsage() const {
 }
 
 bool InternedWorkspace::Satisfies(const Fd& fd) const {
-  return model_check::SatisfiesFd(WorkspaceProvider{*this}, fd);
+  return model_check::SatisfiesFd(*this, fd);
 }
 
 bool InternedWorkspace::Satisfies(const Ind& ind) const {
-  return model_check::SatisfiesInd(WorkspaceProvider{*this}, ind);
+  return model_check::SatisfiesInd(*this, ind);
 }
 
 bool InternedWorkspace::Satisfies(const Rd& rd) const {
-  return model_check::SatisfiesRd(WorkspaceProvider{*this}, rd);
+  return model_check::SatisfiesRd(*this, rd);
 }
 
 bool InternedWorkspace::Satisfies(const Emvd& emvd) const {
-  return model_check::SatisfiesEmvdOn(WorkspaceProvider{*this}, emvd.rel,
-                                      emvd.x, emvd.y, emvd.z);
+  return model_check::SatisfiesEmvdOn(*this, emvd.rel, emvd.x, emvd.y,
+                                      emvd.z);
 }
 
 bool InternedWorkspace::Satisfies(const Mvd& mvd) const {
-  return model_check::SatisfiesEmvdOn(WorkspaceProvider{*this}, mvd.rel,
-                                      mvd.x, mvd.y,
+  return model_check::SatisfiesEmvdOn(*this, mvd.rel, mvd.x, mvd.y,
                                       MvdComplement(*scheme_, mvd));
 }
 
 bool InternedWorkspace::Satisfies(const Dependency& dep) const {
-  return model_check::SatisfiesDependency(WorkspaceProvider{*this}, *scheme_,
-                                          dep);
+  return model_check::SatisfiesDependency(*this, dep);
 }
 
 bool InternedWorkspace::SatisfiesAll(
@@ -486,7 +460,7 @@ bool InternedWorkspace::SatisfiesAll(
 
 std::optional<IdViolation> InternedWorkspace::FindViolation(
     const Dependency& dep) const {
-  return model_check::FindViolation(WorkspaceProvider{*this}, *scheme_, dep);
+  return model_check::FindViolation(*this, dep);
 }
 
 Database InternedWorkspace::Materialize() const {
@@ -505,26 +479,6 @@ Database InternedWorkspace::Materialize() const {
     }
   }
   return out;
-}
-
-IdDatabase InternedWorkspace::ExportIdDatabase() && {
-  std::vector<std::vector<IdTuple>> tuples(scheme_->size());
-  for (RelId rel = 0; rel < scheme_->size(); ++rel) {
-    RelStore& rs = rels_[rel];
-    tuples[rel].reserve(rs.alive_count);
-    for (std::uint32_t i = 0; i < rs.tuples.size(); ++i) {
-      if (!rs.alive[i]) continue;
-      IdTuple t;
-      t.reserve(rs.tuples[i].size());
-      for (ValueId id : rs.tuples[i]) {
-        // Rep, not Find: the tree root is a structural artifact; the
-        // class prints as its constant / lowest-labeled null.
-        t.push_back(uf_.Rep(id));
-      }
-      tuples[rel].push_back(std::move(t));
-    }
-  }
-  return IdDatabase(scheme_, std::move(interner_), std::move(tuples));
 }
 
 }  // namespace ccfp

@@ -10,11 +10,19 @@
 #include "core/database.h"
 #include "core/dependency.h"
 #include "core/intern.h"
-#include "core/interned.h"
 #include "core/tuple.h"
 #include "util/memory_budget.h"
 
 namespace ccfp {
+
+/// Structured violation witness in id-space: the offending tuple *slots*
+/// of `rel` (see InternedWorkspace::FindViolation). Slots may skip dead
+/// indices; a workspace that never merged (every model-checking workspace
+/// built from a Database) has slot i == tuple i of the source relation.
+struct IdViolation {
+  RelId rel = 0;
+  std::vector<std::uint32_t> tuple_indices;
+};
 
 /// A tuple slot inside a workspace: relation + index into its tuple store.
 struct WorkspaceTupleRef {
@@ -66,15 +74,17 @@ struct WorkspaceJournalEntry {
   IdTuple ids;                ///< kAppend: the raw stored ids
 };
 
-/// The persistent interned substrate shared by every engine that used to
-/// re-intern per call: the FD+IND chase (chase/workspace_chase.h), the
-/// EMVD chase (chase/emvd_chase.h), Armstrong build -> chase -> verify ->
-/// repair rounds (armstrong/builder.cc), the counterexample oracle
-/// (axiom/oracle.cc), dependency mining (mine/discovery.h), and the
-/// incremental dependency watchers (verify/verifier.h).
+/// The one interned substrate: every id-space engine runs on it — the
+/// FD+IND chase (chase/workspace_chase.h), the EMVD chase
+/// (chase/emvd_chase.h), Armstrong build -> chase -> verify -> repair
+/// rounds (armstrong/builder.cc), the counterexample oracle
+/// (axiom/oracle.cc), dependency mining (mine/discovery.h), the
+/// incremental dependency watchers (verify/verifier.h), and model checking
+/// of a plain Database (core/satisfies.h interns it into a local
+/// workspace).
 ///
-/// Where `IdDatabase` interns one immutable snapshot and rebuilds all of
-/// its projection partitions per instance, the workspace is *incrementally
+/// Values are interned once, checks run on dense ids and cached
+/// projection partitions, and the workspace is *incrementally
 /// maintainable*:
 ///
 ///   * tuples can be appended at any time (heap Values are interned on
@@ -164,8 +174,10 @@ class InternedWorkspace {
   /// Group id assigned to dead (merged-away) tuple slots in partitions.
   static constexpr std::uint32_t kNoGroup = UINT32_MAX;
 
-  /// Same shape as IdRelation::Partition, over the workspace's tuple
-  /// slots. Dead slots carry kNoGroup and are not counted in any group.
+  /// A projection partition of one relation by a column sequence X: every
+  /// tuple slot gets a group id such that two alive slots share a group
+  /// iff they agree on X, so FD/IND/EMVD probes over X are integer
+  /// indexing. Dead slots carry kNoGroup and are not counted in any group.
   struct Partition {
     std::vector<std::uint32_t> group_of;
     std::uint32_t group_count = 0;
@@ -174,6 +186,8 @@ class InternedWorkspace {
     std::uint32_t alive_groups = 0;
     /// group_size[g]: alive covered members of group g (0 = tombstone).
     std::vector<std::uint32_t> group_size;
+    /// Canonical projection key -> group id (cross-relation probes, e.g.
+    /// IND left keys against the right relation's partition).
     std::unordered_map<IdTuple, std::uint32_t, IdTupleHash> key_to_group;
   };
 
@@ -405,10 +419,9 @@ class InternedWorkspace {
   void ExtendAllPartitions(RelId rel) const;
 
   /// --- model checking -----------------------------------------------------
-  /// Same semantics as IdDatabase / the legacy Value-hashing checks
-  /// (differentially tested); requires no stale tuples. One shared
-  /// implementation serves this class and IdDatabase via the
-  /// partition-provider templates in core/model_check.h. For watcher-based
+  /// Same semantics as the legacy Value-hashing checks in
+  /// core/satisfies.cc (differentially tested); requires no stale tuples.
+  /// The implementation is core/model_check.h. For watcher-based
   /// delta-driven verdicts over the same workspace see verify/verifier.h.
 
   bool Satisfies(const Fd& fd) const;
@@ -461,11 +474,6 @@ class InternedWorkspace {
   /// Converts the alive tuples to a heap-Value Database, slot order
   /// preserved, each id printed as its class's semantic representative.
   Database Materialize() const;
-
-  /// Hands the alive tuples (ids mapped to representatives) and the
-  /// interner over as an immutable IdDatabase — the zero-copy exit used by
-  /// Chase::RunInterned. The workspace is consumed.
-  IdDatabase ExportIdDatabase() &&;
 
  private:
   friend class WorkspaceSnapshotAccess;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "axiom/oracle.h"
 #include "chase/chase.h"
 #include "chase/emvd_chase.h"
 #include "chase/ind_chase.h"
@@ -191,6 +192,34 @@ TEST_F(ChaseTest, ChaseImpliesProposition43Rd) {
       scheme, fds, inds, Dependency(MakeRd(*scheme, "R", {"Y"}, {"Z"})));
   ASSERT_TRUE(implied.ok()) << implied.status();
   EXPECT_TRUE(*implied);
+}
+
+TEST_F(ChaseTest, ChaseImpliesRejectsAMalformedSigma) {
+  // Attribute 7 does not exist in R(A,B,C): every entry point must say
+  // InvalidArgument before building a chase, never abort.
+  SchemePtr scheme = MakeScheme({{"R", {"A", "B", "C"}}});
+  std::vector<Fd> bad_fds = {Fd{0, {0}, {7}}};
+  Dependency target(Fd{0, {0}, {1}});
+  Result<bool> plain = ChaseImplies(scheme, bad_fds, {}, target);
+  ASSERT_FALSE(plain.ok());
+  EXPECT_EQ(plain.status().code(), StatusCode::kInvalidArgument);
+  ChaseOptions naive;
+  naive.engine = ChaseEngine::kNaive;
+  Result<bool> via_naive = ChaseImplies(scheme, bad_fds, {}, target, naive);
+  ASSERT_FALSE(via_naive.ok());
+  EXPECT_EQ(via_naive.status().code(), StatusCode::kInvalidArgument);
+  Result<ChaseImplication> budgeted =
+      ChaseImplies(scheme, bad_fds, {}, target, Budget());
+  ASSERT_FALSE(budgeted.ok());
+  EXPECT_EQ(budgeted.status().code(), StatusCode::kInvalidArgument);
+  std::vector<Ind> bad_inds = {Ind{0, {0}, 3, {0}}};
+  Result<bool> bad_ind = ChaseImplies(scheme, {}, bad_inds, target);
+  ASSERT_FALSE(bad_ind.ok());
+  EXPECT_EQ(bad_ind.status().code(), StatusCode::kInvalidArgument);
+  // The chase oracle turns the error into kUnknown.
+  ChaseOracle oracle(scheme);
+  EXPECT_EQ(oracle.Implies({Dependency(bad_fds[0])}, target),
+            ImplicationVerdict::kUnknown);
 }
 
 TEST_F(ChaseTest, ChaseDivergesOnTheorem44Gadget) {

@@ -1,8 +1,9 @@
 // Differential property tests for the interned model-checking core:
 // random databases and dependency universes, asserting that the interned
-// engine (core/interned.h) agrees with the legacy Value-hashing engine on
-// every Satisfies / FindViolation / ObeysExactly query, and that reported
-// violation witnesses are genuine (re-checkable against the database).
+// engine (a local InternedWorkspace per query, core/model_check.h) agrees
+// with the legacy Value-hashing engine on every Satisfies / FindViolation /
+// ObeysExactly query, and that reported violation witnesses are genuine
+// (re-checkable against the database).
 #include <algorithm>
 #include <gtest/gtest.h>
 

@@ -1,8 +1,8 @@
 // Perf smoke tests (ctest -L smoke) for the interned model-checking core:
 // ObeysExactly over a Section 6/7-sized sentence universe and a bounded
 // counterexample search must finish well under a second. Both workloads
-// were the dominant costs of witness verification before the IdDatabase
-// layer; a regression back to per-probe Value hashing (or per-candidate
+// were the dominant costs of witness verification before the interned
+// checks; a regression back to per-probe Value hashing (or per-candidate
 // database materialization) fails here fast instead of surfacing as a
 // slow bench.
 #include <chrono>

@@ -359,12 +359,30 @@ TEST(SolverTest, ChaseImpliesBudgetOverloadCarriesEvidence) {
   // Exhaustion: cyclic INDs under a tiny budget are kUnknown, not an
   // error and not an abort.
   SchemePtr cyc = MakeScheme({{"T", {"X", "Y", "Z"}}});
-  Result<ChaseImplication> unknown = ChaseImplies(
-      cyc, {}, {MakeInd(*cyc, "T", {"X", "Y"}, "T", {"Y", "Z"})},
-      Dependency(MakeFd(*cyc, "T", {"X"}, {"Y"})), Budget::Tiny());
+  std::vector<Ind> cyc_inds = {
+      MakeInd(*cyc, "T", {"X", "Y"}, "T", {"Y", "Z"})};
+  Dependency cyc_target(MakeFd(*cyc, "T", {"X"}, {"Y"}));
+  Result<ChaseImplication> unknown =
+      ChaseImplies(cyc, {}, cyc_inds, cyc_target, Budget::Tiny());
   ASSERT_TRUE(unknown.ok()) << unknown.status();
   EXPECT_EQ(unknown->verdict, ImplicationVerdict::kUnknown);
   EXPECT_FALSE(unknown->counterexample.has_value());
+  // Its consumption is the chase's own count, not the allowance: within
+  // the budget, and equal to one WorkspaceChase::Run on the same seed.
+  EXPECT_GT(unknown->used.steps, 0u);
+  EXPECT_LE(unknown->used.steps, Budget::Tiny().steps);
+  Result<Database> seed = MakeCanonicalSeed(cyc, cyc_target);
+  ASSERT_TRUE(seed.ok()) << seed.status();
+  InternedWorkspace ws(cyc);
+  ws.AppendDatabase(*seed);
+  WorkspaceChase chase(&ws, {}, cyc_inds);
+  Result<WorkspaceChaseStats> run =
+      chase.Run(ChaseOptions::FromBudget(Budget::Tiny()));
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(unknown->used.steps, chase.stats().steps);
+  EXPECT_EQ(unknown->used.tuples, chase.stats().ind_tuples);
+  EXPECT_EQ(unknown->steps, chase.stats().steps);
 }
 
 // --- Budgets ------------------------------------------------------------

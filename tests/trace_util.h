@@ -1,7 +1,8 @@
 // Shared randomized-trace driver for the workspace/verifier test suites:
 // random schemes, dependency universes, append/merge mutations under the
-// chase protocol, and the three-way verdict/witness agreement check
-// (watchers vs. workspace sweep vs. fresh re-intern). Extracted from
+// chase protocol, and the four-way verdict/witness agreement check
+// (watchers vs. workspace sweep vs. fresh re-intern vs. the legacy
+// Value-hashing checker). Extracted from
 // tests/verify_property_test.cc so the snapshot round-trip, fault
 // injection, and soak suites drive the exact same traces.
 #ifndef CCFP_TESTS_TRACE_UTIL_H_
@@ -175,18 +176,27 @@ inline std::vector<std::size_t> AliveRanks(
   return ranks;
 }
 
-/// The cursor-position invariant: watchers, the workspace sweep, and a
-/// fresh interned database agree on every verdict and witness.
+/// The cursor-position invariant: watchers, the workspace sweep, a fresh
+/// interned workspace of the materialized state, and the legacy
+/// Value-hashing checker agree on every verdict and witness. The fresh
+/// intern runs the same core/model_check.h code as the sweep; the legacy
+/// checker shares no code with either, so it is the independent ground
+/// truth.
 inline void CheckAgreement(const InternedWorkspace& ws,
                            IncrementalVerifier& verifier,
                            const std::vector<Dependency>& deps,
                            const std::vector<WatchId>& ids) {
   Database mat = ws.Materialize();
+  const SatisfiesOptions legacy{SatisfiesEngine::kLegacy};
   for (std::size_t i = 0; i < deps.size(); ++i) {
     const Dependency& dep = deps[i];
     bool sweep = ws.Satisfies(dep);
     bool fresh = Satisfies(mat, dep);
+    bool reference = Satisfies(mat, dep, legacy);
     bool watched = verifier.Satisfies(ids[i]);
+    ASSERT_EQ(fresh, reference)
+        << "a fresh intern disagrees with the legacy checker on "
+        << dep.ToString(ws.scheme()) << "\n" << mat.ToString();
     ASSERT_EQ(sweep, fresh)
         << "surgically repaired partitions disagree with a fresh intern "
            "on " << dep.ToString(ws.scheme()) << "\n" << mat.ToString();
@@ -196,7 +206,14 @@ inline void CheckAgreement(const InternedWorkspace& ws,
 
     std::optional<IdViolation> sv = ws.FindViolation(dep);
     std::optional<Violation> fv = FindViolation(mat, dep);
+    std::optional<Violation> lv = FindViolation(mat, dep, legacy);
     ASSERT_EQ(sv.has_value(), fv.has_value()) << dep.ToString(ws.scheme());
+    ASSERT_EQ(fv.has_value(), lv.has_value()) << dep.ToString(ws.scheme());
+    if (fv.has_value()) {
+      EXPECT_EQ(fv->tuple_indices, lv->tuple_indices)
+          << "fresh-intern witness differs from the legacy checker's for "
+          << dep.ToString(ws.scheme());
+    }
     if (sv.has_value() && !sv->tuple_indices.empty()) {
       EXPECT_EQ(AliveRanks(ws, sv->rel, sv->tuple_indices),
                 fv->tuple_indices)

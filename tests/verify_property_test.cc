@@ -2,11 +2,12 @@
 // (verify/verifier.h) and the surgical partition repair underneath it
 // (core/workspace.h): randomized append / merge / kill traces driven
 // through an InternedWorkspace, asserting at every cursor position that
-//   * watcher verdicts agree with the workspace full-sweep engine AND
-//     with a freshly interned IdDatabase of the materialized state (whose
-//     partitions were never repaired — the ground truth for the repair
-//     machinery);
-//   * violation witnesses agree across all three, modulo the alive-rank
+//   * watcher verdicts agree with the workspace full-sweep engine, with a
+//     freshly interned workspace of the materialized state (whose
+//     partitions were never repaired), AND with the legacy Value-hashing
+//     checker (which shares no code with either — the ground truth for
+//     the repair machinery);
+//   * violation witnesses agree across all four, modulo the alive-rank
 //     index mapping between workspace slots and the materialized tuples;
 //   * feed compaction is invisible: cursor-respecting CompactFeeds never
 //     changes a verdict, and a *forced* trim past the verifier's cursor
